@@ -1,7 +1,6 @@
 #include "net/http_exposition.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -15,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "net/socket_io.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -43,11 +43,6 @@ HttpMetrics& http_metrics() {
   static HttpMetrics m{obs::metrics().counter("server.http_requests"),
                        obs::metrics().counter("server.http_errors")};
   return m;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 struct HttpConn {

@@ -2,9 +2,8 @@
 //
 // epoll on Linux, poll(2) elsewhere; level-triggered in both variants.
 // Each registered fd carries a caller tag returned with its events, so
-// the owning loop dispatches on stable 64-bit ids instead of raw fds.
-// Grown inside AdrServer (PR 6) and extracted once AdrRouter needed the
-// identical loop skeleton over backend-facing connections.
+// the owning loop (FrameLoop) dispatches on stable 64-bit ids instead
+// of raw fds.
 //
 // Not thread-safe: a Poller belongs to exactly one event-loop thread.
 #pragma once

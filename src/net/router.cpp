@@ -1,19 +1,11 @@
 #include "net/router.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "net/poller.hpp"
-
-#ifdef ADR_HAVE_EPOLL
-#include <sys/eventfd.h>
-#endif
-
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -27,7 +19,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Cumulative process-wide series (metric catalog: docs/observability.md).
+// Cumulative process-wide series (metric catalog: docs/observability.md;
+// the connection series come from the FrameLoop under the same prefix).
 struct RouterMetrics {
   obs::Counter& queries;
   obs::Counter& forwarded;
@@ -37,8 +30,6 @@ struct RouterMetrics {
   obs::Counter& stats_requests;
   obs::Counter& probes;
   obs::Counter& probe_failures;
-  obs::Counter& connections_refused;
-  obs::Gauge& active_connections;
   obs::Gauge& backends_down;
 };
 
@@ -51,35 +42,8 @@ RouterMetrics& router_metrics() {
                          obs::metrics().counter("router.stats_requests"),
                          obs::metrics().counter("router.probes"),
                          obs::metrics().counter("router.probe_failures"),
-                         obs::metrics().counter("router.connections_refused"),
-                         obs::metrics().gauge("router.active_connections"),
                          obs::metrics().gauge("router.backends_down")};
   return m;
-}
-
-// Poller tags: connection ids start above the two fixed slots.
-constexpr std::uint64_t kListenTag = 0;
-constexpr std::uint64_t kWakeTag = 1;
-constexpr std::uint64_t kFirstConnId = 2;
-
-/// Completed query frames one connection may have queued or in flight
-/// before the loop stops reading its socket.
-constexpr std::size_t kMaxPipelinedPerConn = 8;
-/// Unflushed outbound bytes beyond which a connection's reads pause.
-constexpr std::size_t kMaxQueuedWriteBytes = 16u << 20;
-/// Flush + linger budget for a closing connection.
-constexpr auto kCloseDrainBudget = std::chrono::milliseconds(200);
-/// Per-connection budget for the stop() drain (in-flight replies).
-constexpr auto kStopFlushBudget = std::chrono::milliseconds(1000);
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-bool deadline_heap_greater(const std::pair<Clock::time_point, std::uint64_t>& a,
-                           const std::pair<Clock::time_point, std::uint64_t>& b) {
-  return a.first > b.first;
 }
 
 /// Blocking loopback connect with CLOEXEC and a receive timeout.
@@ -145,42 +109,20 @@ struct AdrRouter::Backend {
   }
 };
 
-// Per-connection state, owned exclusively by the event-loop thread.
-struct AdrRouter::Conn {
-  std::uint64_t id = 0;
-  int fd = -1;
-  FrameReader reader;
-  FrameWriter writer;
-  /// Completed query frames not yet handed to a forwarder.
-  std::deque<std::vector<std::byte>> pending;
-  /// Query frames at a forwarder right now.  Capped at 1: AdrClient is
-  /// synchronous per connection, and a single slot preserves reply
-  /// order without reordering machinery (pipelined frames queue in
-  /// `pending`).
-  std::size_t in_flight = 0;
-  bool refused = false;  // busy-refusal connection: never counted
-  bool counted = false;
-  bool closing = false;
-  bool lingering = false;
-  bool reading = true;
-  bool writing = false;
-  Clock::time_point deadline{};  // epoch() = none
-};
-
-struct AdrRouter::LoopState {
-  Poller poller;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
-  /// Min-heap of (deadline, conn id), validated lazily against
-  /// Conn::deadline (re-arming never needs heap surgery).
-  std::vector<std::pair<Clock::time_point, std::uint64_t>> deadlines;
-  std::uint64_t next_conn_id = kFirstConnId;
-  std::size_t serving_count = 0;
-  bool wake_registered = true;
-  bool stopping = false;
-};
-
 AdrRouter::AdrRouter(RouterConfig config, std::uint16_t port)
-    : config_(std::move(config)), ring_(config_.vnodes_per_backend) {
+    : config_(std::move(config)),
+      ring_(config_.vnodes_per_backend),
+      loop_("router", port, config_.max_connections,
+            FrameLoop::Handler{
+                [this](FrameLoop::Slot slot, std::vector<std::byte> frame) {
+                  on_frame(slot, std::move(frame));
+                },
+                []() {
+                  WireResult busy;
+                  busy.status = Status::make(StatusCode::kBusy, kServerBusyError);
+                  busy.retry_after_ms = 100;
+                  return encode_result(busy);
+                }}) {
   if (config_.backend_ports.empty()) {
     throw std::invalid_argument("AdrRouter: no backends configured");
   }
@@ -197,84 +139,34 @@ AdrRouter::AdrRouter(RouterConfig config, std::uint16_t port)
     ring_.add_node(p);
     backends_.push_back(std::make_unique<Backend>(p, config_));
   }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("AdrRouter: socket() failed");
-  const int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("AdrRouter: bind() failed");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("AdrRouter: getsockname() failed");
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 1024) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("AdrRouter: listen() failed");
-  }
-  set_nonblocking(listen_fd_);
 }
 
 AdrRouter::~AdrRouter() { stop(); }
 
 void AdrRouter::start() {
   if (running_.exchange(true)) return;
-#ifdef ADR_HAVE_EPOLL
-  wake_rd_ = wake_wr_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_rd_ < 0) throw std::runtime_error("AdrRouter: eventfd() failed");
-#else
-  int fds[2];
-  if (::pipe(fds) != 0) throw std::runtime_error("AdrRouter: pipe() failed");
-  wake_rd_ = fds[0];
-  wake_wr_ = fds[1];
-  set_nonblocking(wake_rd_);
-  set_nonblocking(wake_wr_);
-#endif
   for (int i = 0; i < config_.forwarders; ++i) {
     forwarders_.emplace_back([this, i]() { forwarder_loop(i); });
   }
   if (config_.probe_interval.count() > 0) {
     prober_ = std::thread([this]() { prober_loop(); });
   }
-  loop_thread_ = std::thread([this]() { event_loop(); });
+  loop_.start();
 }
 
 void AdrRouter::stop() {
-  if (!running_.exchange(false)) return;
-  wake();
-  job_cv_.notify_all();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  job_cv_.notify_all();
-  for (std::thread& t : forwarders_) {
-    if (t.joinable()) t.join();
+  // The forwarders keep relaying while the loop drains, so in-flight
+  // replies reach their clients; this also closes the listen socket
+  // when start() never ran.
+  loop_.stop();
+  {
+    std::lock_guard lock(job_mutex_);
+    if (!running_.exchange(false)) return;
   }
+  job_cv_.notify_all();
+  for (std::thread& t : forwarders_) t.join();
   forwarders_.clear();
   if (prober_.joinable()) prober_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (wake_rd_ >= 0) {
-    ::close(wake_rd_);
-    if (wake_wr_ != wake_rd_ && wake_wr_ >= 0) ::close(wake_wr_);
-    wake_rd_ = wake_wr_ = -1;
-  }
-  jobs_.clear();
-  completions_.clear();
-}
-
-void AdrRouter::wake() {
-  if (wake_wr_ < 0) return;
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(wake_wr_, &one, sizeof(one));
 }
 
 AdrRouter::Backend* AdrRouter::backend_of(std::uint16_t backend_port) const {
@@ -320,286 +212,26 @@ void AdrRouter::note_result(Backend& backend, bool success) {
   }
 }
 
-// ------------------------------------------------------- event loop
+// ------------------------------------------------------- the handler
 
-void AdrRouter::event_loop() {
-  LoopState ls;
-  if (!ls.poller.add(listen_fd_, kListenTag, /*rd=*/true, /*wr=*/false)) {
-    ADR_WARN("router: could not register listen socket; serving nothing");
-  }
-  ls.wake_registered =
-      ls.poller.add(wake_rd_, kWakeTag, /*rd=*/true, /*wr=*/false);
-
-  std::vector<Poller::Ready> events;
-  for (;;) {
-    if (!ls.stopping && !running_.load()) {
-      // Stop drain: refuse new connects, give every connection a
-      // bounded window to flush in-flight replies.
-      ls.stopping = true;
-      ls.poller.del(listen_fd_);
-      const auto cutoff = Clock::now() + kStopFlushBudget;
-      std::vector<std::uint64_t> ids;
-      ids.reserve(ls.conns.size());
-      for (const auto& [id, conn] : ls.conns) ids.push_back(id);
-      for (const std::uint64_t id : ids) {
-        auto it = ls.conns.find(id);
-        if (it == ls.conns.end()) continue;
-        Conn& conn = *it->second;
-        conn.closing = true;
-        if (conn.deadline == Clock::time_point{}) {
-          conn.deadline = cutoff;
-          ls.deadlines.emplace_back(conn.deadline, conn.id);
-          std::push_heap(ls.deadlines.begin(), ls.deadlines.end(),
-                         deadline_heap_greater);
-        }
-        if (conn.in_flight == 0 && conn.pending.empty()) loop_flush(ls, conn);
-      }
-    }
-    if (ls.stopping && ls.conns.empty()) break;
-
-    int timeout = ls.wake_registered ? 60'000 : 10;
-    if (!ls.deadlines.empty()) {
-      const auto delta = std::chrono::duration_cast<std::chrono::milliseconds>(
-          ls.deadlines.front().first - Clock::now());
-      timeout = static_cast<int>(
-          std::clamp<long long>(delta.count() + 1, 0, timeout));
-    }
-    ls.poller.wait(events, timeout);
-
-    for (const Poller::Ready& ev : events) {
-      if (ev.tag == kWakeTag) {
-        std::uint64_t buf;
-        while (::read(wake_rd_, &buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      if (ev.tag == kListenTag) {
-        loop_accept(ls);
-        continue;
-      }
-      if (ev.readable) {
-        auto it = ls.conns.find(ev.tag);
-        if (it != ls.conns.end()) loop_readable(ls, *it->second);
-      }
-      if (ev.writable) {
-        auto it = ls.conns.find(ev.tag);
-        if (it != ls.conns.end()) loop_flush(ls, *it->second);
-      }
-    }
-
-    loop_drain_completions(ls);
-
-    // Expire closing connections whose drain window ran out.
-    const auto now = Clock::now();
-    while (!ls.deadlines.empty() && ls.deadlines.front().first <= now) {
-      std::pop_heap(ls.deadlines.begin(), ls.deadlines.end(),
-                    deadline_heap_greater);
-      const auto [when, id] = ls.deadlines.back();
-      ls.deadlines.pop_back();
-      auto it = ls.conns.find(id);
-      if (it == ls.conns.end()) continue;
-      Conn& conn = *it->second;
-      if (conn.deadline != when) continue;  // re-armed since
-      loop_close(ls, conn);
-    }
-  }
-}
-
-void AdrRouter::loop_accept(LoopState& ls) {
-  for (;;) {
-    if (ls.stopping) return;
-#ifdef ADR_HAVE_EPOLL
-    const int fd =
-        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-#else
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-#endif
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // EAGAIN or a transient error: try again on readiness
-    }
-#ifndef ADR_HAVE_EPOLL
-    set_nonblocking(fd);
-    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-#endif
-    set_tcp_nodelay(fd);
-    if (ls.serving_count >= static_cast<std::size_t>(config_.max_connections)) {
-      loop_refuse(ls, fd);
-      continue;
-    }
-    loop_register(ls, fd);
-  }
-}
-
-void AdrRouter::loop_register(LoopState& ls, int fd) {
-  auto conn = std::make_unique<Conn>();
-  conn->id = ls.next_conn_id++;
-  conn->fd = fd;
-  conn->counted = true;
-  Conn* raw = conn.get();
-  if (!ls.poller.add(fd, raw->id, /*rd=*/true, /*wr=*/false)) {
-    ::close(fd);
+void AdrRouter::on_frame(FrameLoop::Slot slot, std::vector<std::byte> frame) {
+  if (is_stats_request(frame)) {
+    // Answered in-loop: the router's own metrics snapshot, which is
+    // where router.* health and failover series live.
+    router_metrics().stats_requests.add();
+    WireStatsReply reply;
+    reply.metrics_json = obs::metrics().snapshot().to_json();
+    loop_.reply(slot, encode_stats_reply(reply));
     return;
   }
-  ls.conns.emplace(raw->id, std::move(conn));
-  ++ls.serving_count;
-  router_metrics().active_connections.add(1);
-}
-
-void AdrRouter::loop_refuse(LoopState& ls, int fd) {
-  router_metrics().connections_refused.add();
-  auto conn = std::make_unique<Conn>();
-  conn->id = ls.next_conn_id++;
-  conn->fd = fd;
-  conn->refused = true;
-  conn->closing = true;
-  conn->reading = false;
-  WireResult busy;
-  busy.status = Status::make(StatusCode::kBusy, kServerBusyError);
-  busy.retry_after_ms = 100;
-  conn->writer.enqueue(encode_result(busy));
-  Conn* raw = conn.get();
-  if (!ls.poller.add(fd, raw->id, /*rd=*/false, /*wr=*/true)) {
-    ::close(fd);
-    return;
-  }
-  raw->writing = true;
-  raw->deadline = Clock::now() + kCloseDrainBudget;
-  ls.conns.emplace(raw->id, std::move(conn));
-  ls.deadlines.emplace_back(raw->deadline, raw->id);
-  std::push_heap(ls.deadlines.begin(), ls.deadlines.end(), deadline_heap_greater);
-  loop_flush(ls, *raw);
-}
-
-void AdrRouter::loop_readable(LoopState& ls, Conn& conn) {
-  if (conn.lingering) {
-    // Discard inbound bytes so the kernel cannot RST the final frame.
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(conn.fd, buf, sizeof(buf), 0)) > 0) {
-    }
-    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
-      loop_close(ls, conn);
-    }
-    return;
-  }
-  if (!conn.reading) return;
-  const FrameReader::IoStatus status = conn.reader.pump(conn.fd);
-  std::vector<std::byte> frame;
-  while (conn.reader.next(frame)) {
-    if (is_stats_request(frame)) {
-      // Answered in-loop: the router's own metrics snapshot, which is
-      // where router.* health and failover series live.
-      router_metrics().stats_requests.add();
-      WireStatsReply reply;
-      reply.metrics_json = obs::metrics().snapshot().to_json();
-      conn.writer.enqueue(encode_stats_reply(reply));
-      continue;
-    }
-    conn.pending.push_back(std::move(frame));
-  }
-  loop_dispatch(ls, conn);
-  loop_flush(ls, conn);
-  if (ls.conns.find(conn.id) == ls.conns.end()) return;  // flush closed it
-  if (status == FrameReader::IoStatus::kClosed ||
-      status == FrameReader::IoStatus::kError) {
-    // Peer finished (or died): serve what is already in flight, then
-    // close.  No new frames can arrive.
-    if (conn.in_flight == 0 && conn.pending.empty() && conn.writer.idle()) {
-      loop_close(ls, conn);
-    } else {
-      conn.closing = true;
-      conn.reading = false;
-      update_interest(ls, conn);
-    }
-    return;
-  }
-  update_interest(ls, conn);
-}
-
-void AdrRouter::loop_dispatch(LoopState& ls, Conn& conn) {
-  (void)ls;
-  while (conn.in_flight < 1 && !conn.pending.empty()) {
-    Job job;
-    job.conn_id = conn.id;
-    job.frame = std::move(conn.pending.front());
-    conn.pending.pop_front();
-    ++conn.in_flight;
-    {
-      std::lock_guard lock(job_mutex_);
-      jobs_.push_back(std::move(job));
-    }
-    job_cv_.notify_one();
-  }
-}
-
-void AdrRouter::update_interest(LoopState& ls, Conn& conn) {
-  const bool want_read =
-      conn.lingering ||
-      (!conn.closing && conn.reader.frames_ready() == 0 &&
-       conn.pending.size() + conn.in_flight < kMaxPipelinedPerConn &&
-       conn.writer.queued_bytes() < kMaxQueuedWriteBytes);
-  const bool want_write = !conn.writer.idle();
-  if (want_read == conn.reading && want_write == conn.writing) return;
-  conn.reading = want_read;
-  conn.writing = want_write;
-  ls.poller.mod(conn.fd, conn.id, want_read, want_write);
-}
-
-void AdrRouter::loop_flush(LoopState& ls, Conn& conn) {
-  const FrameWriter::IoStatus status = conn.writer.flush(conn.fd);
-  if (status == FrameWriter::IoStatus::kError) {
-    loop_close(ls, conn);
-    return;
-  }
-  if (conn.closing && conn.writer.idle() && conn.in_flight == 0 &&
-      conn.pending.empty()) {
-    if (!conn.lingering) {
-      // Flushed everything: half-close and linger briefly so the peer
-      // can read the final frame before the fd goes away.
-      conn.lingering = true;
-      ::shutdown(conn.fd, SHUT_WR);
-      if (conn.deadline == Clock::time_point{} ||
-          conn.deadline > Clock::now() + kCloseDrainBudget) {
-        conn.deadline = Clock::now() + kCloseDrainBudget;
-        ls.deadlines.emplace_back(conn.deadline, conn.id);
-        std::push_heap(ls.deadlines.begin(), ls.deadlines.end(),
-                       deadline_heap_greater);
-      }
-      conn.reading = true;
-      conn.writing = false;
-      ls.poller.mod(conn.fd, conn.id, /*rd=*/true, /*wr=*/false);
-    }
-    return;
-  }
-  update_interest(ls, conn);
-}
-
-void AdrRouter::loop_close(LoopState& ls, Conn& conn) {
-  ls.poller.del(conn.fd);
-  ::close(conn.fd);
-  if (conn.counted) {
-    --ls.serving_count;
-    router_metrics().active_connections.add(-1);
-  }
-  ls.conns.erase(conn.id);
-}
-
-void AdrRouter::loop_drain_completions(LoopState& ls) {
-  std::deque<Completion> done;
   {
-    std::lock_guard lock(completion_mutex_);
-    done.swap(completions_);
+    std::lock_guard lock(job_mutex_);
+    std::deque<Job>& lane = lanes_[slot.conn];
+    lane.push_back(Job{slot, std::move(frame)});
+    if (lane.size() > 1) return;  // waits behind the connection's head
+    ready_.push_back(slot.conn);
   }
-  for (Completion& c : done) {
-    auto it = ls.conns.find(c.conn_id);
-    if (it == ls.conns.end()) continue;  // peer died before its result
-    Conn& conn = *it->second;
-    if (conn.in_flight > 0) --conn.in_flight;
-    conn.writer.enqueue(c.frame);
-    loop_dispatch(ls, conn);
-    loop_flush(ls, conn);
-  }
+  job_cv_.notify_one();
 }
 
 // ------------------------------------------------------- forwarders
@@ -610,34 +242,38 @@ void AdrRouter::forwarder_loop(int index) {
   std::uint64_t jitter_state =
       config_.retry.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(index) + 1;
   BackendSockets socks;
+  std::unique_lock lock(job_mutex_);
   for (;;) {
-    Job job;
-    {
-      std::unique_lock lock(job_mutex_);
-      job_cv_.wait(lock, [this]() { return !running_.load() || !jobs_.empty(); });
-      if (!running_.load()) break;
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
+    job_cv_.wait(lock, [this]() { return !running_.load() || !ready_.empty(); });
+    if (!running_.load()) break;
+    const std::uint64_t conn = ready_.front();
+    ready_.pop_front();
+    Job& head = lanes_[conn].front();
+    const FrameLoop::Slot slot = head.slot;
+    const std::vector<std::byte> frame = std::move(head.frame);
+    lock.unlock();
+    loop_.reply(slot, route(frame, socks, jitter_state));
+    lock.lock();
+    // The head is answered: the connection's next frame, if any, is up.
+    std::deque<Job>& lane = lanes_[conn];
+    lane.pop_front();
+    if (lane.empty()) {
+      lanes_.erase(conn);
+    } else {
+      ready_.push_back(conn);
     }
-    const std::uint64_t conn_id = job.conn_id;
-    Completion completion;
-    completion.conn_id = conn_id;
-    completion.frame = route(job, socks, jitter_state);
-    {
-      std::lock_guard lock(completion_mutex_);
-      completions_.push_back(std::move(completion));
-    }
-    wake();
   }
+  lock.unlock();
   for (const auto& [port, fd] : socks) ::close(fd);
 }
 
-std::vector<std::byte> AdrRouter::route(const Job& job, BackendSockets& socks,
+std::vector<std::byte> AdrRouter::route(const std::vector<std::byte>& frame,
+                                        BackendSockets& socks,
                                         std::uint64_t& jitter_state) {
   router_metrics().queries.add();
   std::uint64_t signature = 0;
   try {
-    signature = dataset_signature(decode_query(job.frame));
+    signature = dataset_signature(decode_query_frame(frame).query);
   } catch (const std::exception& e) {
     WireResult r;
     r.status = Status::make(StatusCode::kInvalidArgument,
@@ -686,7 +322,7 @@ std::vector<std::byte> AdrRouter::route(const Job& job, BackendSockets& socks,
     router_metrics().forwarded.add();
     target->queries.add();
     std::vector<std::byte> reply;
-    const RelayStatus status = relay(*target, socks, job.frame, reply);
+    const RelayStatus status = relay(*target, socks, frame, reply);
 
     if (status == RelayStatus::kOk) {
       note_result(*target, true);

@@ -1,25 +1,25 @@
 // adr_router: the sharded serving tier's front end.
 //
-// One router process owns the client connections (the PR 6 epoll loop,
-// via the shared Poller) and routes each query by *dataset signature* —
-// consistent hashing over a ring of N independent AdrServer backends —
-// so a dataset's queries keep landing on the same backend and its
-// chunk/marginal caches stay hot.  This is the paper's
+// One router process owns the client connections (the FrameLoop it
+// shares with AdrServer, net/frame_loop.hpp) and routes each query by
+// *dataset signature* — consistent hashing over a ring of N independent
+// AdrServer backends — so a dataset's queries keep landing on the same
+// backend and its chunk/marginal caches stay hot.  This is the paper's
 // distributed-memory story reborn at the serving tier: partition by
 // key, fan out, combine (cf. the MapReduce marginal lines in
 // PAPERS.md), with the partition function chosen for minimal remap
 // under membership change (common/hash_ring.hpp).
 //
-// Data path: the loop reads client frames incrementally
-// (FrameReader), answers stats requests in-loop with the router's own
-// metrics snapshot, and hands query frames — as raw bytes, never
-// re-encoded — to a small pool of forwarder threads.  A forwarder
-// decodes only enough to compute the signature, resolves the ordered
-// backend candidates from the ring (the first `replication` are the
-// replica set, rotated per query so a hot dataset fans out), and
-// relays the frame over a cached blocking connection.  The backend's
-// result frame travels back verbatim, so routed results are
-// byte-identical to direct ones.
+// Data path: the loop hands each complete client frame to the router's
+// handler, which answers stats requests in-loop with the router's own
+// metrics snapshot and hands query frames — as raw bytes, never
+// re-encoded — to a small pool of forwarder threads, one frame per
+// connection at a time.  A forwarder decodes only enough to compute the
+// signature, resolves the ordered backend candidates from the ring (the
+// first `replication` are the replica set, rotated per query so a hot
+// dataset fans out), and relays the frame over a cached blocking
+// connection.  The backend's result frame travels back verbatim, so
+// routed results are byte-identical to direct ones.
 //
 // Failure model (docs/sharding.md): a dead backend is just
 // kUnavailable on an idempotent query.  Transport losses and
@@ -44,6 +44,7 @@
 
 #include "common/hash_ring.hpp"
 #include "net/client.hpp"
+#include "net/frame_loop.hpp"
 
 namespace adr::net {
 
@@ -154,9 +155,9 @@ struct RouterConfig {
   std::chrono::milliseconds backend_recv_timeout{30'000};
 };
 
-/// The router front end.  start() binds 127.0.0.1:`port` (0 =
-/// ephemeral; port() reports the bound one), runs the event loop, the
-/// forwarder pool and the prober; stop() drains and joins.
+/// The router front end.  The constructor binds 127.0.0.1:`port` (0 =
+/// ephemeral; port() reports the bound one); start() runs the event
+/// loop, the forwarder pool and the prober; stop() drains and joins.
 class AdrRouter {
  public:
   explicit AdrRouter(RouterConfig config, std::uint16_t port = 0);
@@ -168,7 +169,7 @@ class AdrRouter {
   void start();
   void stop();
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_.port(); }
 
   /// Health snapshot of one backend (kDown for unknown ports).
   BackendHealth::State backend_state(std::uint16_t backend_port) const;
@@ -178,40 +179,24 @@ class AdrRouter {
   std::vector<std::uint16_t> candidates_for(std::uint64_t signature) const;
 
  private:
-  struct Conn;
-  struct LoopState;
   struct Backend;
 
-  /// One query frame in flight between the loop and a forwarder.
+  /// One query frame on its way to a backend.
   struct Job {
-    std::uint64_t conn_id = 0;
+    FrameLoop::Slot slot;
     std::vector<std::byte> frame;  // raw query frame from the client
   };
 
-  /// A finished job travelling back to the loop.
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::vector<std::byte> frame;  // raw result frame for the client
-  };
-
-  void event_loop();
-  void loop_accept(LoopState& ls);
-  void loop_register(LoopState& ls, int fd);
-  void loop_refuse(LoopState& ls, int fd);
-  void loop_readable(LoopState& ls, Conn& conn);
-  void loop_dispatch(LoopState& ls, Conn& conn);
-  void loop_flush(LoopState& ls, Conn& conn);
-  void loop_close(LoopState& ls, Conn& conn);
-  void loop_drain_completions(LoopState& ls);
-  void update_interest(LoopState& ls, Conn& conn);
-  void wake();
+  /// FrameLoop handler (loop thread): stats inline, query frames into
+  /// their connection's lane.
+  void on_frame(FrameLoop::Slot slot, std::vector<std::byte> frame);
 
   void forwarder_loop(int index);
   /// Cached blocking connections one forwarder keeps, one per backend.
   using BackendSockets = std::unordered_map<std::uint16_t, int>;
   /// Routes one query frame; returns the raw result frame to send.
-  std::vector<std::byte> route(const Job& job, BackendSockets& socks,
-                               std::uint64_t& jitter_state);
+  std::vector<std::byte> route(const std::vector<std::byte>& frame,
+                               BackendSockets& socks, std::uint64_t& jitter_state);
   /// Outcome of one relay attempt over a backend connection.
   enum class RelayStatus {
     kOk,             // `reply` holds the backend's raw result frame
@@ -234,27 +219,25 @@ class AdrRouter {
   /// minimizes remap across restarts, not within one process).
   std::vector<std::unique_ptr<Backend>> backends_;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
-
   std::atomic<bool> running_{false};
-  std::thread loop_thread_;
-  std::vector<std::thread> forwarders_;
-  std::thread prober_;
 
-  /// Loop -> forwarders.
+  /// Loop -> forwarders.  A connection's query frames queue in its lane
+  /// and only the lane's head is at a forwarder, so one connection's
+  /// queries never race each other.
   std::mutex job_mutex_;
   std::condition_variable job_cv_;
-  std::deque<Job> jobs_;
-
-  /// Forwarders -> loop.
-  std::mutex completion_mutex_;
-  std::deque<Completion> completions_;
+  std::unordered_map<std::uint64_t, std::deque<Job>> lanes_;
+  /// Connections whose lane head waits for a forwarder.
+  std::deque<std::uint64_t> ready_;
 
   /// Per-query rotation over the replica set (hot-dataset fan-out).
   std::atomic<std::uint64_t> rotation_{0};
+
+  /// The listen socket and every client connection.  Declared after the
+  /// members its handler uses; the threads that post to it follow.
+  FrameLoop loop_;
+  std::vector<std::thread> forwarders_;
+  std::thread prober_;
 };
 
 /// Signature a query is routed by: a mix of every dataset id it

@@ -1,34 +1,15 @@
 #include "net/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-// Poller (net/poller.hpp) defines ADR_HAVE_EPOLL on Linux; this file
-// keys its eventfd-vs-pipe wakeup choice off the same macro.
-#include "net/poller.hpp"
-
-#ifdef ADR_HAVE_EPOLL
-#include <sys/eventfd.h>
-#endif
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <deque>
-#include <memory>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "net/http_exposition.hpp"
-#include "net/socket_io.hpp"
 #include "net/wire.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -38,118 +19,21 @@
 namespace adr::net {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// Cumulative process-wide series (metric catalog: docs/observability.md).
+// Cumulative process-wide series (metric catalog: docs/observability.md;
+// the connection series come from the FrameLoop under the same prefix).
 struct ServerMetrics {
-  obs::Counter& connections_accepted;
-  obs::Counter& connections_refused;
   obs::Counter& queries_served;
   obs::Counter& queries_refused;
   obs::Counter& deadline_refusals;
   obs::Counter& stats_requests;
-  obs::Counter& epoll_wakeups;
-  obs::Counter& frames_partial;
-  obs::Counter& accept_errors;
-  obs::Gauge& active_connections;
 };
 
 ServerMetrics& server_metrics() {
-  static ServerMetrics m{obs::metrics().counter("server.connections_accepted"),
-                         obs::metrics().counter("server.connections_refused"),
-                         obs::metrics().counter("server.queries_served"),
+  static ServerMetrics m{obs::metrics().counter("server.queries_served"),
                          obs::metrics().counter("server.queries_refused"),
                          obs::metrics().counter("server.deadline_refusals"),
-                         obs::metrics().counter("server.stats_requests"),
-                         obs::metrics().counter("server.epoll_wakeups"),
-                         obs::metrics().counter("server.frames_partial"),
-                         obs::metrics().counter("server.accept_errors"),
-                         obs::metrics().gauge("server.active_connections")};
+                         obs::metrics().counter("server.stats_requests")};
   return m;
-}
-
-// Poller tags: connection ids start above the two fixed slots.
-constexpr std::uint64_t kListenTag = 0;
-constexpr std::uint64_t kWakeTag = 1;
-constexpr std::uint64_t kFirstConnId = 2;
-
-/// Queries one connection may have in the scheduler at once before the
-/// loop stops reading its socket (TCP back-pressure reaches the peer).
-constexpr std::size_t kMaxPipelinedPerConn = 8;
-/// Unflushed outbound bytes beyond which a connection's reads pause.
-constexpr std::size_t kMaxQueuedWriteBytes = 16u << 20;
-/// Flush + linger budget for a connection being closed (busy refusals,
-/// stop() drain): a peer that never reads its last frame is cut off
-/// after this.
-constexpr auto kCloseDrainBudget = std::chrono::milliseconds(200);
-constexpr auto kStopFlushBudget = std::chrono::milliseconds(500);
-/// Accept-error backoff: doubles per consecutive failure up to the cap
-/// (the EMFILE/ENFILE accept storm must not busy-spin the loop).
-constexpr auto kAcceptBackoffBase = std::chrono::milliseconds(1);
-constexpr auto kAcceptBackoffMax = std::chrono::milliseconds(200);
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
-
-// Per-connection state, owned exclusively by the event-loop thread.
-//
-// Life cycle: serving -> closing (no more inbound frames; outstanding
-// replies still flush) -> lingering (SHUT_WR sent, inbound bytes
-// discarded so the kernel cannot RST the final frame away) -> closed.
-// Every closing/lingering connection carries a deadline so a peer that
-// neither reads nor closes is cut off in bounded time.
-struct AdrServer::Conn {
-  std::uint64_t id = 0;
-  int fd = -1;
-  std::uint64_t client_id = 0;
-  FrameReader reader;
-  FrameWriter writer;
-  /// Outstanding scheduler tickets, oldest first (per-client FIFO lanes
-  /// complete in submission order, so replies leave in request order).
-  std::deque<std::uint64_t> tickets;
-  bool refused = false;  // busy-refusal connection: never counted/served
-  bool counted = false;  // contributes to the cap and the active gauge
-  bool closing = false;
-  bool lingering = false;
-  bool reading = true;   // poller read interest
-  bool writing = false;  // poller write interest
-  Clock::time_point deadline{};  // epoch() = none
-};
-
-// Everything the loop owns lives on the loop thread's stack; the only
-// cross-thread channels are atomics, the completion queue, and the
-// wakeup fd.
-struct AdrServer::LoopState {
-  Poller poller;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
-  /// In-flight ticket -> connection id (dropped when the peer dies
-  /// before its result: the outcome is then taken and discarded).
-  std::unordered_map<std::uint64_t, std::uint64_t> ticket_conn;
-  /// Min-heap of (deadline, conn id); entries are validated lazily
-  /// against Conn::deadline, so re-arming never needs heap surgery.
-  std::vector<std::pair<Clock::time_point, std::uint64_t>> deadlines;
-  std::uint64_t next_conn_id = kFirstConnId;
-  std::size_t serving_count = 0;  // counted conns, for the cap check
-  bool accept_registered = false;
-  /// False when the wake eventfd/pipe could not be registered: the loop
-  /// then degrades to bounded polling (loop_timeout_ms) so completions
-  /// and stop() still make progress.
-  bool wake_registered = true;
-  bool accept_paused = false;
-  Clock::time_point accept_resume{};
-  int accept_error_streak = 0;
-  bool stopping = false;
-};
-
-namespace {
-
-bool deadline_heap_greater(const std::pair<Clock::time_point, std::uint64_t>& a,
-                           const std::pair<Clock::time_point, std::uint64_t>& b) {
-  return a.first > b.first;
 }
 
 }  // namespace
@@ -163,8 +47,18 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
       telemetry_(telemetry),
       scheduler_(repository, max_pending),
       scheduler_workers_(scheduler_workers),
-      max_connections_(max_connections) {
-  if (max_connections_ < 1) {
+      loop_("server", port, max_connections,
+            FrameLoop::Handler{
+                [this](FrameLoop::Slot slot, std::vector<std::byte> payload) {
+                  on_frame(slot, std::move(payload));
+                },
+                [this]() {
+                  WireResult busy;
+                  busy.status = Status::make(StatusCode::kBusy, kServerBusyError);
+                  busy.retry_after_ms = retry_after_hint_ms();
+                  return encode_result(busy);
+                }}) {
+  if (max_connections < 1) {
     throw std::invalid_argument("AdrServer: max_connections must be >= 1");
   }
   if (scheduler_workers_ < 1) {
@@ -174,30 +68,6 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
     http_ = std::make_unique<HttpExpositionServer>(
         static_cast<std::uint16_t>(telemetry_.http_port));
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("AdrServer: socket() failed");
-  const int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("AdrServer: bind() failed");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("AdrServer: getsockname() failed");
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 1024) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("AdrServer: listen() failed");
-  }
-  set_nonblocking(listen_fd_);
 }
 
 AdrServer::AdrServer(Repository& repository, std::uint16_t port,
@@ -240,67 +110,31 @@ void AdrServer::start() {
     obs::sampler().start(opts);
   }
   if (http_) http_->start();
-#ifdef ADR_HAVE_EPOLL
-  wake_rd_ = wake_wr_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_rd_ < 0) throw std::runtime_error("AdrServer: eventfd() failed");
-#else
-  int fds[2];
-  if (::pipe(fds) != 0) throw std::runtime_error("AdrServer: pipe() failed");
-  wake_rd_ = fds[0];
-  wake_wr_ = fds[1];
-  set_nonblocking(wake_rd_);
-  set_nonblocking(wake_wr_);
-#endif
-  // Completion routing: workers record the ticket and poke the loop;
-  // the loop alone turns outcomes into result frames.
-  scheduler_.set_completion_callback(
-      [this](std::uint64_t ticket) { on_ticket_done(ticket); });
+  // Completion routing: the worker that finished a query hands its
+  // ticket to the loop, which takes the outcome, encodes the result and
+  // writes it — the loop alone touches sockets.
+  scheduler_.set_completion_callback([this](std::uint64_t ticket) {
+    loop_.post([this, ticket]() { finish_ticket(ticket); });
+  });
   scheduler_.start(scheduler_workers_);
   // The controller needs the sampler ring the lines above started; its
   // tick thread no-ops until two samples exist.
   if (adaptive_) adaptive_->start();
-  loop_thread_ = std::thread([this]() { event_loop(); });
+  loop_.start();
 }
 
 void AdrServer::stop() {
   const bool was_running = running_.exchange(false);
-  if (loop_thread_.joinable()) {
-    wake();
-    loop_thread_.join();
-  }
+  // Drains in-flight replies, closes every connection and the listen
+  // socket (even when start() never ran), then joins the loop.
+  loop_.stop();
   if (http_) http_->stop();
   // Release the sampler ref taken in start() exactly once (stop() runs
   // again from the destructor).
   if (was_running && telemetry_.sampler) obs::sampler().stop();
   // The controller must not actuate a scheduler that is tearing down.
   if (adaptive_) adaptive_->stop();
-  // The loop has exited: every connection fd is closed, in-flight
-  // replies were flushed under the drain deadlines.  Now drain and join
-  // the scheduler workers.
   scheduler_.stop();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (wake_rd_ >= 0) {
-    ::close(wake_rd_);
-    if (wake_wr_ != wake_rd_ && wake_wr_ >= 0) ::close(wake_wr_);
-    wake_rd_ = wake_wr_ = -1;
-  }
-}
-
-void AdrServer::wake() {
-  if (wake_wr_ < 0) return;
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(wake_wr_, &one, sizeof(one));
-}
-
-void AdrServer::on_ticket_done(std::uint64_t ticket) {
-  {
-    std::lock_guard lock(completion_mutex_);
-    completed_tickets_.push_back(ticket);
-  }
-  wake();
 }
 
 std::uint32_t AdrServer::retry_after_hint_ms() const {
@@ -328,288 +162,9 @@ std::uint32_t AdrServer::retry_after_hint_ms() const {
   return static_cast<std::uint32_t>(std::clamp(eta_s * 1000.0, 25.0, 10000.0));
 }
 
-// ------------------------------------------------------- event loop
+// ------------------------------------------------------- the handler
 
-void AdrServer::event_loop() {
-  LoopState ls;
-  ls.accept_registered =
-      ls.poller.add(listen_fd_, kListenTag, /*rd=*/true, /*wr=*/false);
-  if (!ls.accept_registered) {
-    // Retry registration through the accept-backoff path.
-    ls.accept_paused = true;
-    ls.accept_resume = Clock::now() + kAcceptBackoffBase;
-  }
-  ls.wake_registered =
-      ls.poller.add(wake_rd_, kWakeTag, /*rd=*/true, /*wr=*/false);
-
-  std::vector<Poller::Ready> events;
-  for (;;) {
-    if (!ls.stopping && !running_.load()) loop_begin_stop_drain(ls);
-    if (ls.stopping && ls.conns.empty()) break;
-
-    // Accept backoff expired: watch the listen socket again.
-    if (ls.accept_paused && Clock::now() >= ls.accept_resume && !ls.stopping) {
-      ls.accept_paused = false;
-      if (ls.poller.add(listen_fd_, kListenTag, true, false)) {
-        ls.accept_registered = true;
-      } else {
-        loop_accept_error(ls);  // re-arm the backoff
-      }
-    }
-
-    ls.poller.wait(events, loop_timeout_ms(ls));
-    server_metrics().epoll_wakeups.add();
-
-    for (const Poller::Ready& ev : events) {
-      if (ev.tag == kWakeTag) {
-        std::uint64_t buf;
-        while (::read(wake_rd_, &buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      if (ev.tag == kListenTag) {
-        loop_accept(ls);
-        continue;
-      }
-      // The connection may have been closed by an earlier event in this
-      // batch; look it up fresh per half.
-      if (ev.readable) {
-        auto it = ls.conns.find(ev.tag);
-        if (it != ls.conns.end()) loop_readable(ls, *it->second);
-      }
-      if (ev.writable) {
-        auto it = ls.conns.find(ev.tag);
-        if (it != ls.conns.end()) loop_flush(ls, *it->second);
-      }
-    }
-
-    loop_drain_completions(ls);
-    loop_expire_deadlines(ls);
-  }
-}
-
-void AdrServer::loop_begin_stop_drain(LoopState& ls) {
-  ls.stopping = true;
-  if (ls.accept_registered) {
-    ls.poller.del(listen_fd_);
-    ls.accept_registered = false;
-  }
-  // Close the listen socket now so new connects are refused while the
-  // drain runs (the loop is the fd's only user once start() returned).
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(ls.conns.size());
-  for (const auto& [id, conn] : ls.conns) ids.push_back(id);
-  for (const std::uint64_t id : ids) {
-    auto it = ls.conns.find(id);
-    if (it == ls.conns.end()) continue;
-    Conn& conn = *it->second;
-    conn.closing = true;
-    if (conn.tickets.empty()) {
-      if (conn.deadline == Clock::time_point{}) {
-        conn.deadline = Clock::now() + kStopFlushBudget;
-        ls.deadlines.emplace_back(conn.deadline, conn.id);
-        std::push_heap(ls.deadlines.begin(), ls.deadlines.end(), deadline_heap_greater);
-      }
-      loop_flush(ls, conn);  // may close and erase conn
-    }
-    // Connections with in-flight queries drain through the completion
-    // path: the last reply arms their deadline.
-  }
-}
-
-int AdrServer::loop_timeout_ms(LoopState& ls) const {
-  Clock::time_point next{};
-  if (ls.accept_paused) next = ls.accept_resume;
-  if (!ls.deadlines.empty()) {
-    const auto top = ls.deadlines.front().first;
-    if (next == Clock::time_point{} || top < next) next = top;
-  }
-  // Without a working wake fd, bound every wait so completions posted by
-  // worker threads are still drained promptly.
-  const int cap = ls.wake_registered ? 60'000 : 10;
-  if (next == Clock::time_point{}) return ls.wake_registered ? -1 : cap;
-  const auto delta =
-      std::chrono::duration_cast<std::chrono::milliseconds>(next - Clock::now());
-  return static_cast<int>(std::clamp<long long>(delta.count() + 1, 0, cap));
-}
-
-void AdrServer::loop_expire_deadlines(LoopState& ls) {
-  const auto now = Clock::now();
-  while (!ls.deadlines.empty() && ls.deadlines.front().first <= now) {
-    std::pop_heap(ls.deadlines.begin(), ls.deadlines.end(), deadline_heap_greater);
-    const auto [when, id] = ls.deadlines.back();
-    ls.deadlines.pop_back();
-    auto it = ls.conns.find(id);
-    if (it == ls.conns.end()) continue;       // already closed
-    Conn& conn = *it->second;
-    if (conn.deadline != when) continue;      // re-armed since
-    ADR_DEBUG("server: drain deadline hit, closing fd=" << conn.fd);
-    loop_close(ls, conn);
-  }
-}
-
-// ------------------------------------------------------- accepting
-
-void AdrServer::loop_accept(LoopState& ls) {
-  for (;;) {
-    if (ls.stopping) return;
-    // Injected accept failure (EMFILE-style storm): the pending
-    // connection stays in the backlog; the loop must back off, not spin.
-    if (fault::faults().fires("net.accept")) {
-      loop_accept_error(ls);
-      return;
-    }
-#ifdef ADR_HAVE_EPOLL
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-#else
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-#endif
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        ls.accept_error_streak = 0;
-        return;
-      }
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      loop_accept_error(ls);
-      return;
-    }
-#ifndef ADR_HAVE_EPOLL
-    set_nonblocking(fd);
-    // Match the accept4(SOCK_CLOEXEC) path: forked children must not
-    // inherit client sockets.
-    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-#endif
-    set_tcp_nodelay(fd);
-    ls.accept_error_streak = 0;
-    if (ls.serving_count >= static_cast<std::size_t>(max_connections_)) {
-      loop_refuse(ls, fd);
-      continue;
-    }
-    loop_register(ls, fd);
-  }
-}
-
-void AdrServer::loop_accept_error(LoopState& ls) {
-  server_metrics().accept_errors.add();
-  ++ls.accept_error_streak;
-  auto backoff = kAcceptBackoffBase * (1 << std::min(ls.accept_error_streak - 1, 8));
-  if (backoff > kAcceptBackoffMax) backoff = kAcceptBackoffMax;
-  ADR_WARN("server: accept failed (streak " << ls.accept_error_streak
-                                            << "), backing off "
-                                            << backoff.count() << "ms");
-  if (ls.accept_registered) {
-    ls.poller.del(listen_fd_);
-    ls.accept_registered = false;
-  }
-  ls.accept_paused = true;
-  ls.accept_resume = Clock::now() + backoff;
-}
-
-void AdrServer::loop_register(LoopState& ls, int fd) {
-  auto conn = std::make_unique<Conn>();
-  conn->id = ls.next_conn_id++;
-  conn->fd = fd;
-  conn->client_id = next_client_id_.fetch_add(1);
-  conn->counted = true;
-  Conn* raw = conn.get();
-  if (!ls.poller.add(fd, raw->id, /*rd=*/true, /*wr=*/false)) {
-    // Unregistered fds never receive events; dropping here is the only
-    // alternative to a silent leak.
-    ::close(fd);
-    return;
-  }
-  ls.conns.emplace(raw->id, std::move(conn));
-  ++ls.serving_count;
-  active_conns_.fetch_add(1);
-  server_metrics().connections_accepted.add();
-  server_metrics().active_connections.add(1);
-  ADR_DEBUG("server: accepted fd=" << fd << " live=" << ls.serving_count);
-}
-
-void AdrServer::loop_refuse(LoopState& ls, int fd) {
-  // Count before the frame goes out: the busy frame is the client-
-  // visible refusal signal, so the counter must already reflect it by
-  // the time the client decodes it.
-  ++refused_;
-  server_metrics().connections_refused.add();
-  ADR_WARN("server: refused connection, " << ls.serving_count << " active");
-  auto conn = std::make_unique<Conn>();
-  conn->id = ls.next_conn_id++;
-  conn->fd = fd;
-  conn->refused = true;
-  conn->closing = true;
-  Conn* raw = conn.get();
-  if (!ls.poller.add(fd, raw->id, /*rd=*/true, /*wr=*/false)) {
-    ::close(fd);  // refusal already counted; the peer just sees a reset
-    return;
-  }
-  ls.conns.emplace(raw->id, std::move(conn));
-  WireResult busy;
-  busy.status = Status::make(StatusCode::kBusy, kServerBusyError);
-  busy.retry_after_ms = retry_after_hint_ms();
-  raw->writer.enqueue(encode_result(busy));
-  raw->deadline = Clock::now() + kCloseDrainBudget;
-  ls.deadlines.emplace_back(raw->deadline, raw->id);
-  std::push_heap(ls.deadlines.begin(), ls.deadlines.end(), deadline_heap_greater);
-  loop_flush(ls, *raw);
-}
-
-// ------------------------------------------------------- reading
-
-void AdrServer::loop_readable(LoopState& ls, Conn& conn) {
-  if (conn.closing || conn.lingering) {
-    // No more frames will be served; discard inbound bytes (so the
-    // kernel cannot answer them with an RST that destroys our final
-    // frame) and watch for the peer's close.
-    char sink[4096];
-    for (;;) {
-      const ssize_t r = ::recv(conn.fd, sink, sizeof(sink), 0);
-      if (r == 0) {
-        loop_close(ls, conn);
-        return;
-      }
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        loop_close(ls, conn);
-        return;
-      }
-    }
-  }
-  const FrameReader::IoStatus st = conn.reader.pump(conn.fd);
-  if (st != FrameReader::IoStatus::kOpen) {
-    // Orderly close or transport error: either way the connection is
-    // done; in-flight tickets are orphaned and their outcomes dropped.
-    loop_close(ls, conn);
-    return;
-  }
-  if (conn.reader.mid_frame()) server_metrics().frames_partial.add();
-  loop_process_frames(ls, conn);
-}
-
-void AdrServer::loop_process_frames(LoopState& ls, Conn& conn) {
-  const std::uint64_t id = conn.id;
-  while (!conn.closing && conn.tickets.size() < kMaxPipelinedPerConn &&
-         conn.writer.queued_bytes() < kMaxQueuedWriteBytes) {
-    std::vector<std::byte> payload;
-    if (!conn.reader.next(payload)) break;
-    // Preserved fault point: a transport failure at the moment a frame
-    // is lifted off the connection (the event-loop twin of the blocking
-    // read_frame() site).
-    if (fault::faults().fires("net.read_frame")) {
-      loop_close(ls, conn);
-      return;
-    }
-    loop_handle_frame(ls, conn, std::move(payload));
-    if (ls.conns.find(id) == ls.conns.end()) return;  // frame handler closed it
-  }
-  loop_update_interest(ls, conn);
-}
-
-void AdrServer::loop_handle_frame(LoopState& ls, Conn& conn,
-                                  std::vector<std::byte> payload) {
+void AdrServer::on_frame(FrameLoop::Slot slot, std::vector<std::byte> payload) {
   if (is_stats_request(payload)) {
     // Stats endpoint: answer in-band and keep the connection open, so a
     // monitoring client can poll the same socket it queries on.
@@ -627,17 +182,11 @@ void AdrServer::loop_handle_frame(LoopState& ls, Conn& conn,
       }
     } catch (const std::exception& e) {
       ADR_WARN("server: stats request failed: " << e.what());
-      loop_close(ls, conn);
+      loop_.reply(slot, {}, FrameLoop::Then::kAbort);
       return;
     }
     server_metrics().stats_requests.add();
-    if (!conn.writer.enqueue(encode_stats_reply(reply))) {
-      conn.closing = true;
-      conn.deadline = Clock::now() + kCloseDrainBudget;
-      ls.deadlines.emplace_back(conn.deadline, conn.id);
-      std::push_heap(ls.deadlines.begin(), ls.deadlines.end(), deadline_heap_greater);
-    }
-    loop_flush(ls, conn);
+    loop_.reply(slot, encode_stats_reply(reply));
     return;
   }
   WireResult result;
@@ -655,20 +204,22 @@ void AdrServer::loop_handle_frame(LoopState& ls, Conn& conn,
       server_metrics().deadline_refusals.add();
       result.status = Status::make(StatusCode::kDeadlineExceeded,
                                    "deadline expired before admission");
-      loop_reply(ls, conn, result, /*ticket=*/0, /*close_after=*/false);
+      send_result(slot, result, FrameLoop::Then::kKeepOpen);
       return;
     }
+    // The connection id is the scheduler's FIFO lane.
     const std::uint64_t ticket =
-        scheduler_.try_enqueue(wq.query, costs_, conn.client_id, wq.options);
+        scheduler_.try_enqueue(wq.query, costs_, slot.conn, wq.options);
     if (ticket != 0) {
-      conn.tickets.push_back(ticket);
-      ls.ticket_conn.emplace(ticket, conn.id);
-      return;  // the completion hook routes the result back to the loop
+      // finish_ticket() runs on this thread, so the route is in place
+      // even for a query that completes at once.
+      routes_.emplace(ticket, slot);
+      return;
     }
     // Scheduler saturated: protocol-level refusal, then close.
     ++queries_refused_;
     server_metrics().queries_refused.add();
-    ADR_WARN("server: scheduler full, refusing query on fd=" << conn.fd);
+    ADR_WARN("server: scheduler full, refusing query on connection " << slot.conn);
     const std::uint32_t hint_ms = retry_after_hint_ms();
     // A busy + retry-after answer is a lie when the hint overshoots the
     // query's remaining deadline budget: the retry would only arrive to
@@ -684,34 +235,49 @@ void AdrServer::loop_handle_frame(LoopState& ls, Conn& conn,
       result.status = Status::make(StatusCode::kBusy, kServerBusyError);
       result.retry_after_ms = hint_ms;
     }
-    loop_reply(ls, conn, result, /*ticket=*/0, /*close_after=*/true);
+    send_result(slot, result, FrameLoop::Then::kClose);
     return;
   } catch (const std::exception& e) {
     result.status = status_from_exception(e);
     ADR_WARN("server: query failed: " << e.what());
   }
   // Malformed frame: an error result, and the connection survives.
-  loop_reply(ls, conn, result, /*ticket=*/0, /*close_after=*/false);
+  send_result(slot, result, FrameLoop::Then::kKeepOpen);
 }
 
-// ------------------------------------------------------- replying
+void AdrServer::finish_ticket(std::uint64_t ticket) {
+  const auto route = routes_.find(ticket);
+  if (route == routes_.end()) return;
+  const FrameLoop::Slot slot = route->second;
+  routes_.erase(route);
+  std::optional<QuerySubmissionService::Outcome> outcome = scheduler_.try_take(ticket);
+  WireResult result;
+  if (outcome && outcome->ok()) {
+    result = to_wire_result(outcome->result);
+  } else {
+    result.status = outcome ? std::move(outcome->status)
+                            : Status::make(StatusCode::kInternal, "query outcome lost");
+    ADR_WARN("server: query failed: " << result.status.to_string());
+  }
+  send_result(slot, result, FrameLoop::Then::kKeepOpen, ticket);
+}
 
-void AdrServer::loop_reply(LoopState& ls, Conn& conn, const WireResult& result,
-                           std::uint64_t ticket, bool close_after) {
+void AdrServer::send_result(FrameLoop::Slot slot, const WireResult& result,
+                            FrameLoop::Then then, std::uint64_t ticket) {
   // Injected reply drop: the query executed, but the result frame never
   // leaves the server — the client sees the connection close mid-query
   // (kUnavailable) and must decide whether to retry.
   if (fault::faults().fires("net.reply_drop")) {
-    ADR_WARN("server: dropping reply on fd=" << conn.fd << " (injected fault)");
-    loop_close(ls, conn);
+    ADR_WARN("server: dropping reply on connection " << slot.conn
+                                                     << " (injected fault)");
+    loop_.reply(slot, {}, FrameLoop::Then::kAbort);
     return;
   }
   const bool tracing = obs::tracer().enabled();
   const std::uint64_t reply_ts = tracing ? obs::tracer().now_us() : 0;
-  const bool queued = conn.writer.enqueue(encode_result(result));
+  std::vector<std::byte> frame = encode_result(result);
   if (tracing && ticket != 0) {
-    // Last span of the query lifecycle: serializing the result frame
-    // into the connection's outbound buffer.
+    // Last span of the query lifecycle: serializing the result frame.
     obs::TraceEvent ev;
     ev.name = "reply";
     ev.query = ticket;
@@ -720,123 +286,16 @@ void AdrServer::loop_reply(LoopState& ls, Conn& conn, const WireResult& result,
     ev.tid = static_cast<std::uint32_t>(ticket);
     obs::tracer().record(ev);
   }
-  if (queued && result.ok()) {
-    ++served_;
-    server_metrics().queries_served.add();
+  std::function<void()> on_queued;
+  if (result.ok()) {
+    // Counted once the frame is buffered for the peer, before it can be
+    // read: a client that holds a result always sees it counted.
+    on_queued = [this]() {
+      ++served_;
+      server_metrics().queries_served.add();
+    };
   }
-  if (!queued || close_after) {
-    // Injected write fault (flush what was buffered, then die) or a
-    // protocol-level refusal (busy frame is the last thing we say).
-    conn.closing = true;
-    conn.deadline = Clock::now() + kCloseDrainBudget;
-    ls.deadlines.emplace_back(conn.deadline, conn.id);
-    std::push_heap(ls.deadlines.begin(), ls.deadlines.end(), deadline_heap_greater);
-  }
-  loop_flush(ls, conn);
-}
-
-void AdrServer::loop_flush(LoopState& ls, Conn& conn) {
-  if (!conn.writer.idle()) {
-    const FrameWriter::IoStatus st = conn.writer.flush(conn.fd);
-    if (st == FrameWriter::IoStatus::kError) {
-      loop_close(ls, conn);
-      return;
-    }
-  }
-  loop_update_interest(ls, conn);
-  if (conn.writer.idle() && conn.closing && conn.tickets.empty()) {
-    loop_maybe_finish_close(ls, conn);
-  }
-}
-
-void AdrServer::loop_update_interest(LoopState& ls, Conn& conn) {
-  // Closing/lingering connections keep reading to observe the peer's
-  // close; serving connections pause reads while the scheduler or the
-  // outbound buffer is saturated (TCP back-pressure reaches the peer).
-  const bool want_read =
-      conn.closing || conn.lingering ||
-      (conn.tickets.size() < kMaxPipelinedPerConn &&
-       conn.writer.queued_bytes() < kMaxQueuedWriteBytes);
-  const bool want_write = !conn.writer.idle();
-  if (want_read != conn.reading || want_write != conn.writing) {
-    conn.reading = want_read;
-    conn.writing = want_write;
-    ls.poller.mod(conn.fd, conn.id, want_read, want_write);
-  }
-}
-
-void AdrServer::loop_maybe_finish_close(LoopState& ls, Conn& conn) {
-  if (conn.lingering) return;  // already draining; deadline will close
-  if (conn.refused || conn.reader.mid_frame() || conn.reader.frames_ready() > 0) {
-    // The peer has bytes in flight we never consumed (a refused client's
-    // query, a half-delivered frame).  Half-close and discard its input
-    // until it closes or the deadline lands — closing outright would let
-    // the kernel RST our final frame away before the peer reads it.
-    ::shutdown(conn.fd, SHUT_WR);
-    conn.lingering = true;
-    conn.deadline = Clock::now() + kCloseDrainBudget;
-    ls.deadlines.emplace_back(conn.deadline, conn.id);
-    std::push_heap(ls.deadlines.begin(), ls.deadlines.end(), deadline_heap_greater);
-    loop_update_interest(ls, conn);
-    return;
-  }
-  loop_close(ls, conn);
-}
-
-void AdrServer::loop_close(LoopState& ls, Conn& conn) {
-  ls.poller.del(conn.fd);
-  ::close(conn.fd);
-  for (const std::uint64_t t : conn.tickets) ls.ticket_conn.erase(t);
-  if (conn.counted) {
-    --ls.serving_count;
-    active_conns_.fetch_add(-1);
-    server_metrics().active_connections.add(-1);
-    ADR_DEBUG("server: connection fd=" << conn.fd << " done, live=" << ls.serving_count);
-  }
-  ls.conns.erase(conn.id);  // destroys conn — nothing after this line
-}
-
-// ------------------------------------------------------- completions
-
-void AdrServer::loop_drain_completions(LoopState& ls) {
-  std::vector<std::uint64_t> done;
-  {
-    std::lock_guard lock(completion_mutex_);
-    done.swap(completed_tickets_);
-  }
-  for (const std::uint64_t ticket : done) {
-    auto outcome = scheduler_.try_take(ticket);
-    if (!outcome.has_value()) continue;
-    const auto route = ls.ticket_conn.find(ticket);
-    if (route == ls.ticket_conn.end()) continue;  // peer died; outcome dropped
-    const std::uint64_t conn_id = route->second;
-    auto it = ls.conns.find(conn_id);
-    ls.ticket_conn.erase(route);
-    if (it == ls.conns.end()) continue;
-    Conn& conn = *it->second;
-    const auto pos = std::find(conn.tickets.begin(), conn.tickets.end(), ticket);
-    if (pos != conn.tickets.end()) conn.tickets.erase(pos);
-    WireResult result;
-    if (outcome->ok()) {
-      result = to_wire_result(outcome->result);
-    } else {
-      result.status = std::move(outcome->status);
-      ADR_WARN("server: query failed: " << result.status.to_string());
-    }
-    loop_reply(ls, conn, result, ticket, /*close_after=*/false);
-    // loop_reply may have closed the connection (reply drop / flush
-    // error); only then touch it again.
-    auto again = ls.conns.find(conn_id);
-    if (again == ls.conns.end()) continue;
-    Conn& still = *again->second;
-    if (still.closing && still.tickets.empty() && still.writer.idle()) {
-      loop_maybe_finish_close(ls, still);
-    } else if (!still.closing) {
-      // Capacity freed: frames the reader buffered while this query ran
-      // can dispatch now.
-      loop_process_frames(ls, still);
-    }
-  }
+  loop_.reply(slot, std::move(frame), then, std::move(on_queued));
 }
 
 }  // namespace adr::net

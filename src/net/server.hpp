@@ -4,29 +4,22 @@
 // queries to the back-end... The socket interface is used for sequential
 // clients." (paper sections 1-2)
 //
-// AdrServer listens on a TCP port (loopback by default) and serves every
-// accepted client from ONE event-loop thread: all sockets are
-// non-blocking and owned by an epoll (poll on non-Linux) readiness loop,
-// a per-connection FrameReader reassembles length-prefixed query frames
-// from whatever bytes arrive, and each complete frame is handed to the
-// server's QuerySubmissionService worker pool (the paper's query
-// submission service) — so server-side execution concurrency is bounded
-// by scheduler slots and serving concurrency is no longer bounded by a
-// thread per connection.  When a query finishes, the scheduler's
-// completion hook wakes the loop through an eventfd (pipe fallback) and
-// the loop — never a worker thread — serializes the result frame into
-// the connection's FrameWriter and flushes it as the socket accepts.
-// docs/serving.md walks through the architecture, back-pressure path and
-// fd life cycle.
+// AdrServer listens on a loopback TCP port through the FrameLoop
+// (net/frame_loop.hpp) it shares with AdrRouter: one event-loop thread
+// owns every client socket, and AdrServer supplies only the handler.
+// Each query frame goes to the server's QuerySubmissionService worker
+// pool (the paper's query submission service), so execution concurrency
+// is bounded by scheduler slots, not by a thread per connection.  The
+// worker that finishes a query posts its ticket back to the loop, which
+// encodes and writes the result.  docs/serving.md walks through the
+// architecture, back-pressure path, fd life cycle and stop drain.
 //
 // Back-pressure is protocol-level: past `max_connections`, or when the
 // scheduler's pending queue is full, the server replies with a
 // WireResult{kBusy, "server busy"} frame — carrying a retry-after hint
 // derived from the live queue-depth gauge and measured submit latency —
 // and then closes, so clients can distinguish refusal from crash and
-// know when retrying is worth it.  All refusal I/O is non-blocking and
-// deadline-bounded: a refused peer that never reads can never stall the
-// loop, stop(), or active_connections().
+// know when retrying is worth it.
 //
 // Observability: every connection and query updates the process-wide
 // obs::metrics() registry (server.* series; catalog in
@@ -34,24 +27,17 @@
 // on any connection answers with the registry snapshot as JSON plus,
 // optionally, the query-lifecycle trace — see AdrClient::stats() and
 // the adr_stats CLI tool.
-//
-// fd ownership: every client fd is created, registered, and closed by
-// the event-loop thread only.  stop() signals the loop (running_ +
-// wakeup), and the loop finishes in-flight queries, flushes their
-// result frames under a bounded drain deadline, closes everything and
-// exits; stop() then joins it and drains the scheduler.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/frontend.hpp"
 #include "core/planner/cost_model.hpp"
+#include "net/frame_loop.hpp"
 
 namespace adr::net {
 
@@ -99,7 +85,7 @@ class AdrServer {
   void stop();
 
   /// The bound port (valid after construction).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_.port(); }
 
   /// The HTTP exposition port, or 0 when TelemetryOptions::http_port
   /// disabled it (valid after construction).
@@ -109,14 +95,11 @@ class AdrServer {
 
   /// Connections currently being served.  Lock-free: the loop maintains
   /// an atomic count, so this never waits on connection I/O.
-  std::size_t active_connections() const {
-    const std::int64_t n = active_conns_.load();
-    return n > 0 ? static_cast<std::size_t>(n) : 0;
-  }
+  std::size_t active_connections() const { return loop_.active_connections(); }
 
   /// Connections refused because max_connections was reached (each got a
   /// "server busy" frame before the close).
-  std::uint64_t connections_refused() const { return refused_.load(); }
+  std::uint64_t connections_refused() const { return loop_.connections_refused(); }
 
   /// Queries refused because the scheduler's pending queue was full.
   std::uint64_t queries_refused() const { return queries_refused_.load(); }
@@ -131,35 +114,16 @@ class AdrServer {
   const AdaptiveController* adaptive() const { return adaptive_.get(); }
 
  private:
-  struct LoopState;  // event-loop-owned state; lives on the loop's stack
-  struct Conn;       // per-connection state (see server.cpp)
-
-  void event_loop();
-  /// Signals the loop thread (safe from any thread).
-  void wake();
-  /// Scheduler completion hook: runs on a worker thread, records the
-  /// ticket and wakes the loop — result frames are written only by the
-  /// loop.
-  void on_ticket_done(std::uint64_t ticket);
-
-  // Loop internals (loop thread only; see server.cpp).
-  void loop_accept(LoopState& ls);
-  void loop_accept_error(LoopState& ls);
-  void loop_register(LoopState& ls, int fd);
-  void loop_refuse(LoopState& ls, int fd);
-  void loop_readable(LoopState& ls, Conn& conn);
-  void loop_process_frames(LoopState& ls, Conn& conn);
-  void loop_handle_frame(LoopState& ls, Conn& conn, std::vector<std::byte> payload);
-  void loop_reply(LoopState& ls, Conn& conn, const WireResult& result,
-                  std::uint64_t ticket, bool close_after);
-  void loop_flush(LoopState& ls, Conn& conn);
-  void loop_drain_completions(LoopState& ls);
-  void loop_update_interest(LoopState& ls, Conn& conn);
-  void loop_maybe_finish_close(LoopState& ls, Conn& conn);
-  void loop_close(LoopState& ls, Conn& conn);
-  void loop_begin_stop_drain(LoopState& ls);
-  void loop_expire_deadlines(LoopState& ls);
-  int loop_timeout_ms(LoopState& ls) const;
+  /// FrameLoop handler (loop thread): stats inline, queries to the
+  /// scheduler, refusals with the retry-after hint.
+  void on_frame(FrameLoop::Slot slot, std::vector<std::byte> payload);
+  /// Posts a result frame for `slot`; every result passes the
+  /// `net.reply_drop` fault point here.  `ticket` tags the trace span.
+  void send_result(FrameLoop::Slot slot, const WireResult& result,
+                   FrameLoop::Then then, std::uint64_t ticket = 0);
+  /// Loop thread, posted by the scheduler's completion hook: turns the
+  /// finished ticket's outcome into its reply.
+  void finish_ticket(std::uint64_t ticket);
 
   /// Retry-after estimate for busy refusals: the queue the caller would
   /// sit behind (live scheduler depth gauges) times the measured mean
@@ -179,25 +143,18 @@ class AdrServer {
   /// only for the RuntimeConfig constructor with adaptive.enabled.
   std::unique_ptr<AdaptiveController> adaptive_;
   const int scheduler_workers_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  const int max_connections_;
-  std::thread loop_thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> served_{0};
-  std::atomic<std::uint64_t> refused_{0};
   std::atomic<std::uint64_t> queries_refused_{0};
   std::atomic<std::uint64_t> deadline_refusals_{0};
-  std::atomic<std::uint64_t> next_client_id_{1};
-  std::atomic<std::int64_t> active_conns_{0};
 
-  /// Wakeup channel: eventfd on Linux (rd == wr), self-pipe elsewhere.
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
+  /// In-flight ticket -> the request slot its result answers (loop
+  /// thread only).
+  std::unordered_map<std::uint64_t, FrameLoop::Slot> routes_;
 
-  /// Tickets finished by scheduler workers, awaiting pickup by the loop.
-  std::mutex completion_mutex_;
-  std::vector<std::uint64_t> completed_tickets_;
+  /// The listen socket and every client connection.  Declared last: it
+  /// binds after the members its handler uses exist.
+  FrameLoop loop_;
 };
 
 }  // namespace adr::net

@@ -10,7 +10,7 @@
 //    few tests) use — one call, one whole frame, the calling thread
 //    sleeps in recv/send until it is done.
 //  - FrameReader/FrameWriter: the incremental, non-blocking layer the
-//    event-driven AdrServer front end is built on.  A FrameReader
+//    FrameLoop behind AdrServer and AdrRouter is built on.  A FrameReader
 //    accumulates whatever bytes the socket happens to deliver and hands
 //    out completed frames; a FrameWriter buffers whole outbound frames
 //    and flushes as much as the socket accepts.  Neither ever blocks,
@@ -19,8 +19,8 @@
 // Fault points (docs/robustness.md): the blocking helpers evaluate
 // `net.read_frame` / `net.write_frame` / `net.short_write` per call;
 // FrameWriter::enqueue evaluates the two write points with identical
-// semantics (the server's read-side point fires in the event loop when
-// a completed frame is lifted off a connection — see server.cpp).
+// semantics (the read-side point fires in FrameLoop when a completed
+// frame is lifted off a connection — see frame_loop.cpp).
 #pragma once
 
 #include <cstddef>
@@ -40,6 +40,10 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
 /// peer's delayed ACK for ~40ms.  Every serving-path socket (client,
 /// server accept, router relay) sets it.
 void set_tcp_nodelay(int fd);
+
+/// Sets O_NONBLOCK on any fd (listen sockets, wake pipes, accepted
+/// sockets where accept4 is unavailable).
+void set_nonblocking(int fd);
 
 /// Reads one frame; returns false on orderly close or error.
 bool read_frame(int fd, std::vector<std::byte>& payload);

@@ -249,10 +249,6 @@ WireQuery decode_query_frame(std::span<const std::byte> payload) {
   return wq;
 }
 
-Query decode_query(std::span<const std::byte> payload) {
-  return decode_query_frame(payload).query;
-}
-
 WireResult to_wire_result(const QueryResult& result) {
   WireResult w;
   w.strategy = result.strategy;

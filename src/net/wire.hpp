@@ -105,8 +105,6 @@ struct WireQuery {
 std::vector<std::byte> encode_query(const Query& query,
                                     const ExecOptions& options = {});
 WireQuery decode_query_frame(std::span<const std::byte> payload);
-/// Compatibility shim: decodes a query frame, discarding the options.
-Query decode_query(std::span<const std::byte> payload);
 
 std::vector<std::byte> encode_result(const WireResult& result);
 WireResult decode_result(std::span<const std::byte> payload);

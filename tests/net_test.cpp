@@ -10,12 +10,14 @@
 #include <cstring>
 #include <future>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "json_check.hpp"
 #include "net/client.hpp"
+#include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket_io.hpp"
 #include "net/wire.hpp"
@@ -76,7 +78,7 @@ TEST(Wire, QueryRoundTrip) {
   q.write_output = true;
   q.seed = 12345;
 
-  const Query back = decode_query(encode_query(q));
+  const Query back = decode_query_frame(encode_query(q)).query;
   EXPECT_EQ(back.input_dataset, 3u);
   EXPECT_EQ(back.extra_input_datasets, (std::vector<std::uint32_t>{7, 9}));
   EXPECT_EQ(back.output_dataset, 4u);
@@ -267,7 +269,7 @@ TEST(Wire, StatsFramesRoundTrip) {
 
 TEST(Wire, StatsFrameRejectedByOtherDecoders) {
   const auto frame = encode_stats_request({});
-  EXPECT_THROW(decode_query(frame), WireError);
+  EXPECT_THROW(decode_query_frame(frame), WireError);
   EXPECT_THROW(decode_result(frame), WireError);
   Query q;
   q.range = Rect::cube(2, 0.0, 1.0);
@@ -279,7 +281,7 @@ TEST(Wire, QueryFrameRejectedAsResult) {
   q.range = Rect::cube(2, 0.0, 1.0);
   EXPECT_THROW(decode_result(encode_query(q)), WireError);
   WireResult result;
-  EXPECT_THROW(decode_query(encode_result(result)), WireError);
+  EXPECT_THROW(decode_query_frame(encode_result(result)), WireError);
 }
 
 // ----------------------------------------------------- client/server
@@ -812,31 +814,68 @@ TEST(EventLoopServing, StopDuringPartialFrameReturnsPromptly) {
   ::close(fd);
 }
 
-TEST(EventLoopServing, RefusedPeerNeverReadsDoesNotBlockActiveConnections) {
+// The connection cap lives in FrameLoop, so both front ends must honor
+// it identically; each case builds one with max_connections = 1.
+enum class FrontEnd { kServer, kRouter };
+
+class ConnectionCap : public ::testing::TestWithParam<FrontEnd> {
+ protected:
+  /// Starts the capped front end; the router relays to `fx_.server`.
+  void SetUp() override {
+    if (GetParam() == FrontEnd::kServer) {
+      server_ = std::make_unique<AdrServer>(fx_.repo, /*port=*/0, ComputeCosts{},
+                                            /*max_connections=*/1);
+      server_->start();
+      return;
+    }
+    RouterConfig cfg;
+    cfg.backend_ports = {fx_.server.port()};
+    cfg.max_connections = 1;
+    cfg.probe_interval = std::chrono::milliseconds(0);
+    refused_before_ = obs::metrics().counter("router.connections_refused").value();
+    router_ = std::make_unique<AdrRouter>(cfg);
+    router_->start();
+  }
+  std::uint16_t port() const { return server_ ? server_->port() : router_->port(); }
+  std::size_t active_connections() const {
+    if (server_) return server_->active_connections();
+    return static_cast<std::size_t>(
+        obs::metrics().gauge("router.active_connections").value());
+  }
+  std::uint64_t connections_refused() const {
+    if (server_) return server_->connections_refused();
+    return obs::metrics().counter("router.connections_refused").value() -
+           refused_before_;
+  }
+
+  ServerFixture fx_;  // declared first: outlives the front end built on it
+  std::unique_ptr<AdrServer> server_;
+  std::unique_ptr<AdrRouter> router_;
+  std::uint64_t refused_before_ = 0;
+};
+
+TEST_P(ConnectionCap, RefusedPeerNeverReadsDoesNotBlockActiveConnections) {
   // Regression: the refusal path once did a blocking busy-frame write
   // plus an up-to-200ms drain read while holding the connection lock, so
   // one refused peer that never read froze active_connections() (and
   // stop()) for the whole drain.  Refusal I/O is now queued, non-blocking
   // and deadline-bounded, off every lock.
-  ServerFixture fx;
-  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/1);
-  tight.start();
-  AdrClient holder(tight.port());
-  ASSERT_TRUE(holder.submit(fx.basic_query()).ok());  // slot registered
+  AdrClient holder(port());
+  ASSERT_TRUE(holder.submit(fx_.basic_query()).ok());  // slot registered
 
-  const int refused = raw_connect(tight.port());
+  const int refused = raw_connect(port());
   ASSERT_GE(refused, 0);
   // Hammer active_connections() through the refusal's whole drain
   // window; every call must return immediately.
   std::chrono::steady_clock::duration worst{};
   for (int i = 0; i < 60; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_LE(tight.active_connections(), 1u);
+    EXPECT_LE(active_connections(), 1u);
     worst = std::max(worst, std::chrono::steady_clock::now() - t0);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_LT(worst, std::chrono::milliseconds(100));
-  EXPECT_GE(tight.connections_refused(), 1u);
+  EXPECT_GE(connections_refused(), 1u);
 
   // The busy frame still reached the peer (refusal is an answer, not a
   // slammed door), even though the peer never read during the drain.
@@ -844,12 +883,19 @@ TEST(EventLoopServing, RefusedPeerNeverReadsDoesNotBlockActiveConnections) {
   ASSERT_TRUE(read_frame(refused, payload));
   const WireResult busy = decode_result(payload);
   EXPECT_TRUE(busy.server_busy());
+  EXPECT_EQ(busy.status.code, StatusCode::kBusy);
   ::close(refused);
 
   // The holder was never disturbed.
-  EXPECT_TRUE(holder.submit(fx.basic_query()).ok());
-  tight.stop();
+  EXPECT_TRUE(holder.submit(fx_.basic_query()).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(FrameLoop, ConnectionCap,
+                         ::testing::Values(FrontEnd::kServer, FrontEnd::kRouter),
+                         [](const ::testing::TestParamInfo<FrontEnd>& info) {
+                           return info.param == FrontEnd::kServer ? "Server"
+                                                                  : "Router";
+                         });
 
 TEST(EventLoopServing, AcceptErrorsBackOffAndRecover) {
   // Regression: persistent accept() failure (the EMFILE storm) used to

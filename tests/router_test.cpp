@@ -6,9 +6,10 @@
 // backend SIGKILLed mid-run, results compared byte-for-byte against a
 // single-process oracle.
 //
-// The HashRing.* / BackendHealth.* / RouterServing.* / ClientRetry.*
-// suites are ThreadSanitizer targets (see .github/workflows/ci.yml);
-// the RouterCluster.* suite forks and is plain-build only.
+// The HashRing.* / BackendHealth.* / RouterServing.* / FrameLoop.* /
+// ClientRetry.* suites are ThreadSanitizer targets (see
+// .github/workflows/ci.yml); the RouterCluster.* suite forks and is
+// plain-build only.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -22,6 +23,7 @@
 #include <netinet/in.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -29,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "common/hash_ring.hpp"
 #include "core/frontend.hpp"
 #include "net/client.hpp"
@@ -416,6 +419,62 @@ TEST(RouterServing, ProberDrivesHalfOpenRecovery) {
     EXPECT_TRUE(client.submit(fx.query(d)).ok());
   }
   revived.stop();
+}
+
+// --------------------------------------------------- the shared loop
+//
+// AdrRouter runs on the same FrameLoop as AdrServer, so the loop's
+// fixes reach it too.  The FrameLoop.* suite is a ThreadSanitizer
+// target (see .github/workflows/ci.yml).
+
+TEST(FrameLoop, RouterReleasesListenSocketWithoutStart) {
+  // Regression: stop() returned early when start() never ran, so a
+  // router destroyed unstarted leaked its listening socket and kept the
+  // port bound.
+  std::uint16_t port = 0;
+  {
+    RouterConfig cfg;
+    cfg.backend_ports = {1};  // never contacted: the router never starts
+    AdrRouter router(cfg);
+    port = router.port();
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+      << std::strerror(errno);
+  EXPECT_EQ(::listen(fd, 1), 0);
+  ::close(fd);
+}
+
+TEST(FrameLoop, AcceptErrorsBackOffAndRecover) {
+  // The router twin of EventLoopServing.AcceptErrorsBackOffAndRecover:
+  // a persistent accept() failure must be counted and backed off, and
+  // the still-queued connection accepted once the failures stop.  With
+  // the prober off, only the router accepts while the fault is armed
+  // (its forwarders connect to a backend only after the client is in).
+  RouterConfig cfg;
+  cfg.probe_interval = std::chrono::milliseconds(0);
+  RouterFixture fx(cfg);
+  const std::uint64_t errors_before =
+      obs::metrics().counter("router.accept_errors").value();
+
+  fault::ScopedFaultPlan plan(/*seed=*/43);
+  fault::FaultSpec accept_fail;
+  accept_fail.trigger = fault::Trigger::kAlways;
+  accept_fail.max_fires = 3;
+  plan.arm("net.accept", accept_fail);
+
+  AdrClient client(fx.router->port());
+  const WireResult result = client.submit(fx.query(0));
+  ASSERT_TRUE(result.ok()) << result.status.to_string();
+
+  EXPECT_EQ(fault::faults().stats("net.accept").fires, 3u);
+  EXPECT_EQ(obs::metrics().counter("router.accept_errors").value(),
+            errors_before + 3);
 }
 
 // ------------------------------------------------ client connect retry
