@@ -181,7 +181,9 @@ struct SubmitOutcome {
 /// (never acquire in the other direction):
 ///
 ///   catalog_mutex_  ->  executor pool mutex  ->  chunk cache shard mutex
-///                   ->  ChunkStore internal mutex  ->  executor internals
+///                   ->  ChunkStore disk mutex (offset table only;
+///                       payload pread/pwrite runs unlocked)
+///                   ->  executor internals
 ///                   ->  marginal cache version/shard mutexes (leaf)
 ///
 /// Registries (attribute spaces, aggregations, indices) are expected to be

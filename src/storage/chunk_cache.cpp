@@ -102,14 +102,18 @@ void CachingChunkStore::put(Chunk chunk) {
   }
   Shard& shard = shard_of(disk);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  backing_->put(chunk);  // write-through first: backing is ground truth
-  auto it = shard.entries.find(chunk.meta().id);
-  if (it != shard.entries.end()) {
-    // Coherence on overwrite of a cached id: refresh in place.
-    ++shard.invalidations;
-    cache_metrics().invalidations.add();
-    install_locked(shard, chunk);
+  // Write-through first: backing is ground truth.  An uncached id (every
+  // put of a dataset load) hands its payload over without a copy; the
+  // shard lock keeps it uncached until the backing put is done.
+  if (!shard.entries.contains(chunk.meta().id)) {
+    backing_->put(std::move(chunk));
+    return;
   }
+  backing_->put(chunk);
+  // Coherence on overwrite of a cached id: refresh in place.
+  ++shard.invalidations;
+  cache_metrics().invalidations.add();
+  install_locked(shard, chunk);
 }
 
 std::optional<Chunk> CachingChunkStore::get(int disk, ChunkId id) const {

@@ -14,8 +14,10 @@
 // in the simulator.
 //
 // Thread safety: fully thread-safe.  Lock order: shard mutex -> backing
-// store's internal mutex (a shard lock is held across the backing get on
-// a miss; the backing store never calls back into the cache).
+// store's disk mutex (a shard lock is held across the backing get on a
+// miss; the backing store never calls back into the cache).  In
+// FileChunkStore that per-disk mutex guards only the offset table, and
+// payload I/O runs unlocked with pread/pwrite.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,11 @@
 #include "storage/disk_store.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cassert>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -27,6 +32,55 @@ StorageMetrics& storage_metrics() {
   static StorageMetrics m{obs::metrics().counter("storage.chunk_reads"),
                           obs::metrics().counter("storage.bytes_read")};
   return m;
+}
+
+[[noreturn]] void throw_io_error(const std::string& what,
+                                 const std::filesystem::path& path, int err) {
+  std::string msg = "FileChunkStore: " + what + " " + path.string();
+  if (err != 0) msg += ": " + std::string(std::strerror(err));
+  throw std::runtime_error(msg);
+}
+
+int open_file(const std::filesystem::path& path, int flags) {
+  const int fd = ::open(path.c_str(), flags, 0666);
+  if (fd < 0) throw_io_error("cannot open", path, errno);
+  return fd;
+}
+
+/// The manifest is read from outside the program: a record naming a disk
+/// the farm does not have is corrupt, not an index to trust.
+void check_manifest_disk(int disk, int num_disks) {
+  if (disk < 0 || disk >= num_disks) {
+    throw std::runtime_error("FileChunkStore: manifest disk out of range");
+  }
+}
+
+/// Writes all `n` bytes at `offset`, resuming after short writes and
+/// EINTR.  Any other failure (ENOSPC, EFBIG, ...) throws.
+void pwrite_all(int fd, const std::byte* data, std::uint64_t n, std::uint64_t offset,
+                const std::filesystem::path& path) {
+  while (n > 0) {
+    const ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) throw_io_error("cannot write", path, w < 0 ? errno : 0);
+    data += w;
+    n -= static_cast<std::uint64_t>(w);
+    offset += static_cast<std::uint64_t>(w);
+  }
+}
+
+/// Reads exactly `n` bytes at `offset`, retrying on EINTR; end of file
+/// before `n` bytes is a short read.
+void pread_all(int fd, std::byte* data, std::uint64_t n, std::uint64_t offset,
+               const std::filesystem::path& path) {
+  while (n > 0) {
+    const ssize_t r = ::pread(fd, data, n, static_cast<off_t>(offset));
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) throw_io_error("short read from", path, r < 0 ? errno : 0);
+    data += r;
+    n -= static_cast<std::uint64_t>(r);
+    offset += static_cast<std::uint64_t>(r);
+  }
 }
 
 }  // namespace
@@ -92,6 +146,10 @@ std::uint64_t MemoryChunkStore::bytes_on_disk(int disk) const {
   return disks_[static_cast<size_t>(disk)].bytes;
 }
 
+FileChunkStore::File::~File() {
+  if (fd >= 0) ::close(fd);
+}
+
 FileChunkStore::FileChunkStore(std::filesystem::path dir, int num_disks,
                                bool open_existing)
     : dir_(std::move(dir)),
@@ -99,25 +157,30 @@ FileChunkStore::FileChunkStore(std::filesystem::path dir, int num_disks,
       disks_(static_cast<size_t>(num_disks)) {
   assert(num_disks >= 1);
   std::filesystem::create_directories(dir_);
+  // A fresh store truncates any stale files from a previous run.
+  const int truncate = open_existing ? 0 : O_TRUNC;
   for (int k = 0; k < num_disks; ++k) {
     Disk& d = disks_[static_cast<size_t>(k)];
     d.path = dir_ / ("disk" + std::to_string(k) + ".dat");
-    if (!open_existing) {
-      // Truncate any stale file from a previous run.
-      std::ofstream(d.path, std::ios::binary | std::ios::trunc);
-    }
+    d.file.fd = open_file(d.path, O_RDWR | O_CREAT | O_CLOEXEC | truncate);
   }
-  if (open_existing) {
-    replay_manifest();
-  } else {
-    std::ofstream(manifest_path_, std::ios::trunc);
-  }
+  if (open_existing) replay_manifest();
+  manifest_.fd =
+      open_file(manifest_path_, O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC | truncate);
 }
 
 void FileChunkStore::append_manifest(const std::string& line) {
-  std::ofstream f(manifest_path_, std::ios::app);
-  if (!f) throw std::runtime_error("FileChunkStore: cannot append manifest");
-  f << line << '\n';
+  // One write(2) per record on an O_APPEND descriptor: the record lands
+  // whole at the end of the file, and nothing waits in a user-space
+  // buffer where a second handle could not see it.
+  const std::string record = line + '\n';
+  ssize_t n = 0;
+  do {
+    n = ::write(manifest_.fd, record.data(), record.size());
+  } while (n < 0 && errno == EINTR);
+  if (n != static_cast<ssize_t>(record.size())) {
+    throw_io_error("cannot append manifest", manifest_path_, n < 0 ? errno : 0);
+  }
 }
 
 void FileChunkStore::replay_manifest() {
@@ -146,9 +209,7 @@ void FileChunkStore::replay_manifest() {
         e.meta.mbr = Rect(lo, hi);
       }
       e.meta.disk = disk;
-      if (disk < 0 || disk >= num_disks()) {
-        throw std::runtime_error("FileChunkStore: manifest disk out of range");
-      }
+      check_manifest_disk(disk, num_disks());
       Disk& d = disks_[static_cast<size_t>(disk)];
       auto it = d.entries.find(e.meta.id);
       if (it != d.entries.end()) d.live_bytes -= it->second.meta.bytes;
@@ -161,6 +222,7 @@ void FileChunkStore::replay_manifest() {
       if (!(ls >> disk >> id.dataset >> id.index)) {
         throw std::runtime_error("FileChunkStore: bad manifest erase line");
       }
+      check_manifest_disk(disk, num_disks());
       Disk& d = disks_[static_cast<size_t>(disk)];
       auto it = d.entries.find(id);
       if (it != d.entries.end()) {
@@ -178,24 +240,19 @@ FileChunkStore::~FileChunkStore() = default;
 void FileChunkStore::put(Chunk chunk) {
   const int disk = chunk.meta().disk;
   assert(disk >= 0 && disk < num_disks());
-  std::lock_guard<std::mutex> lock(mutex_);
   Disk& d = disks_[static_cast<size_t>(disk)];
   Entry e;
-  e.meta = chunk.meta();
-  e.offset = d.file_size;
+  e.meta = std::move(chunk.meta());
   e.stored_bytes = chunk.payload().size();
-  if (e.stored_bytes > 0) {
-    std::ofstream f(d.path, std::ios::binary | std::ios::app);
-    if (!f) throw std::runtime_error("FileChunkStore: cannot open " + d.path.string());
-    f.write(reinterpret_cast<const char*>(chunk.payload().data()),
-            static_cast<std::streamsize>(e.stored_bytes));
-    d.file_size += e.stored_bytes;
-  }
-  auto it = d.entries.find(e.meta.id);
-  if (it != d.entries.end()) d.live_bytes -= it->second.meta.bytes;
-  d.entries[e.meta.id] = e;
-  d.live_bytes += e.meta.bytes;
 
+  // The disk mutex is held across the write so the offset it reserves is
+  // this put's alone, and the manifest's records for one disk stay in the
+  // order their entries were published (replay keeps the last one).
+  std::lock_guard<std::mutex> lock(d.mutex);
+  e.offset = d.file_size;
+  if (e.stored_bytes > 0) {
+    pwrite_all(d.file.fd, chunk.payload().data(), e.stored_bytes, e.offset, d.path);
+  }
   std::ostringstream line;
   line << std::setprecision(17) << "put " << disk << ' ' << e.meta.id.dataset << ' '
        << e.meta.id.index << ' ' << e.offset << ' ' << e.stored_bytes << ' '
@@ -203,55 +260,66 @@ void FileChunkStore::put(Chunk chunk) {
   for (int i = 0; i < e.meta.mbr.dims(); ++i) line << ' ' << e.meta.mbr.lo()[i];
   for (int i = 0; i < e.meta.mbr.dims(); ++i) line << ' ' << e.meta.mbr.hi()[i];
   append_manifest(line.str());
+
+  // Both writes landed: publish.  A throw above records no entry.
+  d.file_size += e.stored_bytes;
+  const ChunkId id = e.meta.id;
+  auto it = d.entries.find(id);
+  if (it != d.entries.end()) d.live_bytes -= it->second.meta.bytes;
+  d.live_bytes += e.meta.bytes;
+  d.entries.insert_or_assign(id, std::move(e));
 }
 
 std::optional<Chunk> FileChunkStore::get(int disk, ChunkId id) const {
   assert(disk >= 0 && disk < num_disks());
   fault::faults().check("storage.fetch");
-  std::lock_guard<std::mutex> lock(mutex_);
   const Disk& d = disks_[static_cast<size_t>(disk)];
-  auto it = d.entries.find(id);
-  if (it == d.entries.end()) return std::nullopt;
-  const Entry& e = it->second;
+  Entry e;
+  {
+    std::lock_guard<std::mutex> lock(d.mutex);
+    auto it = d.entries.find(id);
+    if (it == d.entries.end()) return std::nullopt;
+    e = it->second;
+  }
+  // No lock held: the entry's bytes were written before it was published
+  // and are never rewritten.
   std::vector<std::byte> payload(e.stored_bytes);
   if (e.stored_bytes > 0) {
-    std::ifstream f(d.path, std::ios::binary);
-    if (!f) throw std::runtime_error("FileChunkStore: cannot open " + d.path.string());
-    f.seekg(static_cast<std::streamoff>(e.offset));
-    f.read(reinterpret_cast<char*>(payload.data()),
-           static_cast<std::streamsize>(e.stored_bytes));
-    if (!f) throw std::runtime_error("FileChunkStore: short read from " + d.path.string());
+    pread_all(d.file.fd, payload.data(), e.stored_bytes, e.offset, d.path);
   }
   storage_metrics().chunk_reads.add();
   storage_metrics().bytes_read.add(payload.size());
-  return Chunk(e.meta, std::move(payload));
+  return Chunk(std::move(e.meta), std::move(payload));
 }
 
 bool FileChunkStore::contains(int disk, ChunkId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].entries.contains(id);
+  const Disk& d = disks_[static_cast<size_t>(disk)];
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.entries.contains(id);
 }
 
 bool FileChunkStore::erase(int disk, ChunkId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
   Disk& d = disks_[static_cast<size_t>(disk)];
+  std::lock_guard<std::mutex> lock(d.mutex);
   auto it = d.entries.find(id);
   if (it == d.entries.end()) return false;
-  d.live_bytes -= it->second.meta.bytes;
-  d.entries.erase(it);  // dead bytes remain in the file (no compaction)
   append_manifest("erase " + std::to_string(disk) + ' ' +
                   std::to_string(id.dataset) + ' ' + std::to_string(id.index));
+  d.live_bytes -= it->second.meta.bytes;
+  d.entries.erase(it);  // dead bytes remain in the file (no compaction)
   return true;
 }
 
 std::size_t FileChunkStore::chunk_count(int disk) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].entries.size();
+  const Disk& d = disks_[static_cast<size_t>(disk)];
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.entries.size();
 }
 
 std::uint64_t FileChunkStore::bytes_on_disk(int disk) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].live_bytes;
+  const Disk& d = disks_[static_cast<size_t>(disk)];
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.live_bytes;
 }
 
 }  // namespace adr

@@ -76,6 +76,14 @@ class MemoryChunkStore : public ChunkStore {
 /// appended to `<dir>/manifest.txt`, so a store can be reopened in a
 /// later process with `open_existing = true` (the manifest is replayed
 /// to rebuild the offset tables).
+///
+/// Thread safety: each disk file and the manifest are opened once and
+/// kept open.  A per-disk mutex guards only that disk's offset table;
+/// payload I/O runs unlocked with pread/pwrite, so node threads read
+/// their disks in parallel.  Payloads are never rewritten in place (an
+/// overwrite appends), so a reader holding a copied entry reads stable
+/// bytes.  A put's manifest record is written with one write(2) before
+/// put returns: a second handle opened later sees every completed put.
 class FileChunkStore : public ChunkStore {
  public:
   FileChunkStore(std::filesystem::path dir, int num_disks,
@@ -98,8 +106,19 @@ class FileChunkStore : public ChunkStore {
     std::uint64_t offset = 0;
     std::uint64_t stored_bytes = 0;
   };
+  /// An open file descriptor, closed when the store (or a constructor
+  /// that throws part-way) lets go of it.
+  struct File {
+    int fd = -1;
+    File() = default;
+    File(const File&) = delete;
+    File& operator=(const File&) = delete;
+    ~File();
+  };
   struct Disk {
     std::filesystem::path path;
+    File file;
+    mutable std::mutex mutex;  // guards the fields below, never payload I/O
     std::map<ChunkId, Entry> entries;
     std::uint64_t file_size = 0;
     std::uint64_t live_bytes = 0;
@@ -108,10 +127,10 @@ class FileChunkStore : public ChunkStore {
   void append_manifest(const std::string& line);
   void replay_manifest();
 
-  mutable std::mutex mutex_;
   std::filesystem::path dir_;
   std::filesystem::path manifest_path_;
   std::vector<Disk> disks_;
+  File manifest_;
 };
 
 }  // namespace adr

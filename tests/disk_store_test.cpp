@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 namespace adr {
@@ -109,20 +114,39 @@ TYPED_TEST(ChunkStoreTest, MetadataOnlyChunk) {
   EXPECT_EQ(store->bytes_on_disk(0), 1u << 20);
 }
 
-TEST(MemoryChunkStore, ConcurrentReadersAndWriters) {
-  MemoryChunkStore store(4);
+TYPED_TEST(ChunkStoreTest, ConcurrentReadersAndWriters) {
+  auto store = this->make(4);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&store, t]() {
+      const int neighbour = (t + 1) % 4;
       for (std::uint32_t i = 0; i < 200; ++i) {
-        store.put(make_chunk(i, t, {i, i + 1}));
-        auto c = store.get(t, {0, i});
+        store->put(make_chunk(i, t, {i, i + 1}));
+        auto c = store->get(t, {0, i});
         ASSERT_TRUE(c.has_value());
+        EXPECT_EQ(c->template as<std::uint64_t>()[1], i + 1);
+        const std::uint32_t j = i / 2;
+        if (i % 4 == 3) {
+          // Overwrite an earlier chunk with a longer payload.
+          store->put(make_chunk(j, t, {j, j + 1, 7}));
+        }
+        // Read the neighbour's disk while its writer runs: whichever
+        // version is visible arrives whole.
+        if (auto n = store->get(neighbour, {0, j})) {
+          auto view = n->template as<std::uint64_t>();
+          ASSERT_GE(view.size(), 2u);
+          EXPECT_EQ(view[0], j);
+          EXPECT_EQ(view[1], j + 1);
+        }
       }
     });
   }
   for (auto& t : threads) t.join();
-  for (int d = 0; d < 4; ++d) EXPECT_EQ(store.chunk_count(d), 200u);
+  for (int d = 0; d < 4; ++d) {
+    EXPECT_EQ(store->chunk_count(d), 200u);
+    // 50 ids were overwritten with three values, 150 kept two.
+    EXPECT_EQ(store->bytes_on_disk(d), (150 * 2 + 50 * 3) * sizeof(std::uint64_t));
+  }
 }
 
 TEST(FileChunkStore, ReopenRestoresContents) {
@@ -191,6 +215,81 @@ TEST(FileChunkStore, PersistsAcrossHandleReads) {
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->as<std::uint64_t>()[0], i * 7);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileChunkStore, SecondHandleSeesCompletedPuts) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adr_store_second_handle_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    FileChunkStore live(dir, 2);
+    constexpr std::uint32_t kPuts = 64;
+    for (std::uint32_t i = 0; i < kPuts; ++i) {
+      live.put(make_chunk(i, static_cast<int>(i % 2), {i, i * i, ~std::uint64_t{i}}));
+    }
+    // Opened beside the live handle, which keeps its files open.
+    FileChunkStore second(dir, 2, /*open_existing=*/true);
+    EXPECT_EQ(second.chunk_count(0) + second.chunk_count(1), kPuts);
+    for (std::uint32_t i = 0; i < kPuts; ++i) {
+      const int disk = static_cast<int>(i % 2);
+      auto c = second.get(disk, {0, i});
+      ASSERT_TRUE(c.has_value()) << i;
+      const Chunk expected = make_chunk(i, disk, {i, i * i, ~std::uint64_t{i}});
+      EXPECT_EQ(c->payload(), expected.payload()) << i;
+    }
+    // The live handle is undisturbed by the second one.
+    live.put(make_chunk(kPuts, 0, {5}));
+    auto c = live.get(0, {0, kPuts});
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->as<std::uint64_t>()[0], 5u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileChunkStore, CorruptManifestEraseDiskRejected) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adr_store_corrupt_erase_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  { FileChunkStore store(dir, 1); }
+  { std::ofstream(dir / "manifest.txt", std::ios::app) << "erase 7 0 0\n"; }
+  EXPECT_THROW(FileChunkStore(dir, 1, /*open_existing=*/true), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileChunkStore, FailedPayloadWriteThrowsAndRecordsNothing) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adr_store_fsize_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  // The file-size limit applies to the whole process, so the put runs in
+  // a child.  With SIGXFSZ ignored, a write past the limit fails with
+  // EFBIG instead of killing the process.  Exit codes: 0 = the put threw
+  // and recorded nothing, 1 = it did not throw, 2 = it recorded an entry.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int code = 0;
+    try {
+      FileChunkStore store(dir, 1);
+      store.put(make_chunk(0, 0, {1, 2, 3}));
+      ::signal(SIGXFSZ, SIG_IGN);
+      const rlimit limit{4096, 4096};
+      ::setrlimit(RLIMIT_FSIZE, &limit);
+      try {
+        store.put(make_chunk(1, 0, std::vector<std::uint64_t>(1024, 9)));  // 8 KiB
+        code = 1;
+      } catch (const std::runtime_error&) {
+        if (store.chunk_count(0) != 1 || store.contains(0, {0, 1})) code = 2;
+      }
+    } catch (...) {
+      code = 3;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died abnormally";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
   std::filesystem::remove_all(dir);
 }
 
