@@ -1,4 +1,4 @@
-// Microbenchmark: R-tree bulk load, insert and range query.
+// Microbenchmark: R-tree bulk load and range query.
 #include <benchmark/benchmark.h>
 
 #include "common/random.hpp"
@@ -34,17 +34,6 @@ void BM_RTreeBulkLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RTreeBulkLoad)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_RTreeInsert(benchmark::State& state) {
-  const auto rects = make_rects(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    RTree tree;
-    for (std::uint32_t i = 0; i < rects.size(); ++i) tree.insert(rects[i], i);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeInsert)->Arg(1000)->Arg(10000);
 
 void BM_GridIndexBuild(benchmark::State& state) {
   const auto rects = make_rects(static_cast<int>(state.range(0)));

@@ -80,12 +80,6 @@ double Rect::volume() const {
   return v;
 }
 
-double Rect::margin() const {
-  double m = 0.0;
-  for (int i = 0; i < dims(); ++i) m += std::max(0.0, extent(i));
-  return m;
-}
-
 bool Rect::contains(const Point& p) const {
   if (p.dims() != dims() || dims() == 0) return false;
   for (int i = 0; i < dims(); ++i) {

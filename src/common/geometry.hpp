@@ -88,9 +88,6 @@ class Rect {
   /// as zero, so degenerate rectangles have zero volume.
   double volume() const;
 
-  /// Sum of extents (used by R-tree split heuristics).
-  double margin() const;
-
   bool contains(const Point& p) const;
   bool contains(const Rect& r) const;
 

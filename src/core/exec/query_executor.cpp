@@ -124,12 +124,6 @@ class Engine {
     return output_.chunk(pq_.selected_outputs[pos]);
   }
 
-  bool hosts_replica(int node, std::uint32_t o) const {
-    if (plan_.owner_of_output[o] == node) return true;
-    const auto& hosts = plan_.ghost_hosts[o];
-    return std::binary_search(hosts.begin(), hosts.end(), node);
-  }
-
   void track_accum_alloc(int node, std::uint32_t o) {
     NodeState& st = state(node);
     st.accum_resident += pq_.accum_bytes[o];
@@ -374,9 +368,9 @@ class Engine {
     // owners the chunk must be forwarded to.
     std::vector<std::uint32_t> local_targets;
     std::vector<int> remote_dests;
-    for (std::uint32_t o : pq_.mapping.in_to_out[i]) {
+    for (std::uint32_t o : pq_.mapping.outputs_of(i)) {
       if (plan_.tile_of_output[o] != tile) continue;
-      if (hosts_replica(node, o)) {
+      if (plan_.hosts_replica(node, o)) {
         local_targets.push_back(o);
       } else {
         remote_dests.push_back(plan_.owner_of_output[o]);
@@ -448,9 +442,9 @@ class Engine {
     // Exactly the edges the sender could not reduce locally: it forwarded
     // this chunk because it hosts no replica of these targets.
     std::vector<std::uint32_t> targets;
-    for (std::uint32_t o : pq_.mapping.in_to_out[i]) {
+    for (std::uint32_t o : pq_.mapping.outputs_of(i)) {
       if (plan_.tile_of_output[o] != tile) continue;
-      if (plan_.owner_of_output[o] == node && !hosts_replica(msg.src, o)) {
+      if (plan_.owner_of_output[o] == node && !plan_.hosts_replica(msg.src, o)) {
         targets.push_back(o);
       }
     }

@@ -29,6 +29,7 @@ struct SubmitMetrics {
   obs::Counter& count;
   obs::Counter& errors;
   obs::Histogram& latency;
+  obs::Histogram& select;
   obs::Histogram& plan;
   /// End-to-end latency split by the strategy the planner chose
   /// (indexed by StrategyKind kFRA..kHybrid).
@@ -39,6 +40,7 @@ SubmitMetrics& submit_metrics() {
   static SubmitMetrics m{obs::metrics().counter("submit.count"),
                          obs::metrics().counter("submit.errors"),
                          obs::metrics().histogram("submit.latency_s"),
+                         obs::metrics().histogram("submit.select_s"),
                          obs::metrics().histogram("submit.plan_s"),
                          {&obs::metrics().histogram("submit.latency_s.fra"),
                           &obs::metrics().histogram("submit.latency_s.sra"),
@@ -370,7 +372,7 @@ Repository::Prepared Repository::prepare_locked(const Query& query,
 }
 
 PlannedQuery Repository::plan_prepared(const Prepared& prepared,
-                                       QuerySelection* selection) const {
+                                       QuerySelection&& selection) const {
   obs::QueryTracer& tr = obs::tracer();
   const bool tracing = tr.enabled();
   const std::uint64_t qid = obs::trace_query();
@@ -379,9 +381,7 @@ PlannedQuery Repository::plan_prepared(const Prepared& prepared,
   const std::uint64_t plan_ts_us = tracing ? tr.now_us() : 0;
   PlannedQuery planned;
   try {
-    planned = selection != nullptr
-                  ? plan_query(prepared.request, std::move(*selection))
-                  : plan_query(prepared.request);
+    planned = plan_query(prepared.request, std::move(selection));
   } catch (const StatusError&) {
     throw;
   } catch (const std::exception& e) {
@@ -397,6 +397,27 @@ PlannedQuery Repository::plan_prepared(const Prepared& prepared,
   return planned;
 }
 
+QuerySelection Repository::select_prepared(const Prepared& prepared) const {
+  obs::QueryTracer& tr = obs::tracer();
+  const std::uint64_t ts_us = tr.enabled() ? tr.now_us() : 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  QuerySelection selection;
+  try {
+    selection = select_query_chunks(prepared.request);
+  } catch (const std::exception& e) {
+    // Selection is the planning service's first phase: same failure
+    // class plan_prepared assigns.
+    throw StatusError(StatusCode::kPlanRejected, e.what());
+  }
+  submit_metrics().select.observe(seconds_since(t0));
+  if (tr.enabled()) {
+    const std::uint64_t qid = obs::trace_query();
+    tr.record({"selected", "serving", qid, ts_us, tr.now_us() - ts_us,
+               static_cast<std::uint32_t>(qid), -1});
+  }
+  return selection;
+}
+
 Repository::MarginalConsult Repository::consult_marginals_locked(
     const Prepared& prepared) const {
   MarginalConsult mc;
@@ -406,6 +427,7 @@ Repository::MarginalConsult Repository::consult_marginals_locked(
   // mutate outside the signature), so such queries bypass the cache.
   if (marginal_cache_ == nullptr || prepared.op == nullptr ||
       prepared.op->requires_existing_output()) {
+    mc.reduced = select_prepared(prepared);
     return mc;
   }
 
@@ -414,13 +436,7 @@ Repository::MarginalConsult Repository::consult_marginals_locked(
   const std::uint64_t qid = obs::trace_query();
   const std::uint64_t ts_us = tracing ? tr.now_us() : 0;
 
-  try {
-    mc.original = select_query_chunks(prepared.request);
-  } catch (const std::exception& e) {
-    // Same failure class plan_prepared would assign: the planning
-    // service (selection is its first phase) refused the query.
-    throw StatusError(StatusCode::kPlanRejected, e.what());
-  }
+  mc.original = select_prepared(prepared);
   mc.active = true;
 
   // Signatures: aggregation + map names, output chunk identity under its
@@ -449,7 +465,7 @@ Repository::MarginalConsult Repository::consult_marginals_locked(
     sig.mix(out_ver.shape);
     sig.mix(sel.selected_outputs[o]);
     contrib.clear();
-    for (std::uint32_t pos : sel.mapping.out_to_in[o]) {
+    for (std::uint32_t pos : sel.mapping.inputs_of(o)) {
       const auto& [ds_id, data_ver] = input_ver[sel.input_dataset_of[pos]];
       contrib.emplace_back((static_cast<std::uint64_t>(ds_id) << 32) |
                                sel.selected_inputs[pos],
@@ -468,60 +484,21 @@ Repository::MarginalConsult Repository::consult_marginals_locked(
     }
   }
 
-  // Reduce the selection to the misses.  An input is dropped — and its
-  // bytes counted as saved — when every output it feeds was served; an
-  // input feeding nothing stays, matching the cold plan exactly.
-  if (mc.hits.size() == num_outputs) {
-    mc.fully_cached = true;
-    for (std::size_t pos = 0; pos < sel.selected_inputs.size(); ++pos) {
-      if (sel.mapping.in_to_out[pos].empty()) continue;
+  // Reduce the selection to the misses, counting the bytes of every
+  // input whose outputs were all served as saved.
+  for (std::uint32_t o = 0; o < num_outputs; ++o) {
+    if (!cached[o]) mc.executed_orig.push_back(o);
+  }
+  if (mc.hits.empty()) {
+    mc.reduced = std::move(mc.original);
+  } else {
+    std::vector<std::uint32_t> dropped;
+    mc.reduced = reduce_selection(sel, cached, dropped);
+    for (std::uint32_t pos : dropped) {
       const Dataset* ds = prepared.all_inputs[sel.input_dataset_of[pos]];
       mc.bytes_saved += ds->chunk(sel.selected_inputs[pos]).bytes;
     }
-  } else if (mc.hits.empty()) {
-    mc.reduced = mc.original;
-    mc.executed_orig.resize(num_outputs);
-    for (std::size_t o = 0; o < num_outputs; ++o) {
-      mc.executed_orig[o] = static_cast<std::uint32_t>(o);
-    }
-  } else {
-    std::vector<std::uint32_t> new_out(num_outputs, 0);  // orig -> reduced
-    for (std::size_t o = 0; o < num_outputs; ++o) {
-      if (cached[o]) continue;
-      new_out[o] = static_cast<std::uint32_t>(mc.executed_orig.size());
-      mc.executed_orig.push_back(static_cast<std::uint32_t>(o));
-      mc.reduced.selected_outputs.push_back(sel.selected_outputs[o]);
-    }
-    std::vector<std::uint32_t> new_in(sel.selected_inputs.size(), 0);
-    for (std::size_t pos = 0; pos < sel.selected_inputs.size(); ++pos) {
-      const auto& outs = sel.mapping.in_to_out[pos];
-      const bool needed =
-          outs.empty() ||
-          std::any_of(outs.begin(), outs.end(),
-                      [&](std::uint32_t o) { return !cached[o]; });
-      if (!needed) {
-        const Dataset* ds = prepared.all_inputs[sel.input_dataset_of[pos]];
-        mc.bytes_saved += ds->chunk(sel.selected_inputs[pos]).bytes;
-        continue;
-      }
-      new_in[pos] = static_cast<std::uint32_t>(mc.reduced.selected_inputs.size());
-      mc.reduced.selected_inputs.push_back(sel.selected_inputs[pos]);
-      mc.reduced.input_dataset_of.push_back(sel.input_dataset_of[pos]);
-      std::vector<std::uint32_t> kept;
-      for (std::uint32_t o : outs) {
-        if (!cached[o]) kept.push_back(new_out[o]);
-      }
-      mc.reduced.mapping.in_to_out.push_back(std::move(kept));
-    }
-    mc.reduced.mapping.out_to_in.reserve(mc.executed_orig.size());
-    for (std::uint32_t orig : mc.executed_orig) {
-      std::vector<std::uint32_t> ins;
-      ins.reserve(sel.mapping.out_to_in[orig].size());
-      for (std::uint32_t pos : sel.mapping.out_to_in[orig]) {
-        ins.push_back(new_in[pos]);
-      }
-      mc.reduced.mapping.out_to_in.push_back(std::move(ins));
-    }
+    mc.fully_cached = mc.executed_orig.empty();
   }
 
   if (tracing) {
@@ -782,7 +759,7 @@ QueryResult Repository::submit_locked(const Query& query, const ComputeCosts& co
     return finalize_from_cache_locked(query, prepared, consult, exec_options);
   }
   PlannedQuery planned =
-      plan_prepared(prepared, consult.active ? &consult.reduced : nullptr);
+      plan_prepared(prepared, std::move(consult.reduced));
   return execute_planned_locked(query, prepared, std::move(planned), costs, exec_options,
                                 nullptr, consult.active ? &consult : nullptr);
 }
@@ -852,7 +829,7 @@ void Repository::run_gang_locked(const std::vector<SubmitRequest>& batch,
         continue;
       }
       PlannedQuery planned =
-          plan_prepared(prepared, consult.active ? &consult.reduced : nullptr);
+          plan_prepared(prepared, std::move(consult.reduced));
       members.push_back(
           Member{i, std::move(prepared), std::move(consult), std::move(planned), t0});
     } catch (const std::exception& e) {

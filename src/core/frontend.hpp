@@ -304,9 +304,11 @@ class Repository {
     std::vector<std::pair<std::uint32_t, std::vector<std::byte>>> hits;
     /// Original output position per reduced-plan position.
     std::vector<std::uint32_t> executed_orig;
-    /// The full selection, kept to finalize served chunks.
+    /// The full selection, kept to finalize served chunks (moved into
+    /// `reduced` when nothing hit).
     QuerySelection original;
-    /// Selection covering only the misses, ready for plan_query.
+    /// The selection to plan: only the misses (all of it when nothing
+    /// hit or the consult is inactive).
     QuerySelection reduced;
     /// Input payload bytes whose read and aggregation were skipped.
     std::uint64_t bytes_saved = 0;
@@ -314,21 +316,22 @@ class Repository {
 
   Prepared prepare_locked(const Query& query, const ComputeCosts& costs) const;
   /// Selects the query's chunks and looks every output-chunk signature
-  /// up in the marginal cache.  Inactive (and selection-free) when the
-  /// cache is off or the query is not cacheable (no aggregation op, op
-  /// reads existing output).
+  /// up in the marginal cache.  Inactive (the selection goes straight to
+  /// `reduced`) when the cache is off or the query is not cacheable (no
+  /// aggregation op, op reads existing output).
   MarginalConsult consult_marginals_locked(const Prepared& prepared) const;
+  /// Selects the query's chunks and maps them (submit.select_s);
+  /// failures become StatusError{kPlanRejected}.
+  QuerySelection select_prepared(const Prepared& prepared) const;
   /// Finalizes a fully-cached query straight from served partials: no
   /// plan, no executor, only op->output per chunk plus delivery.
   QueryResult finalize_from_cache_locked(const Query& query, const Prepared& prepared,
                                          MarginalConsult& consult,
                                          const ExecOptions& exec_options);
-  /// Runs the planning service on a prepared query (metrics + trace
-  /// spans included); failures become StatusError{kPlanRejected}.
-  /// `selection` non-null plans that (possibly reduced) selection
-  /// instead of selecting from scratch; it is consumed.
-  PlannedQuery plan_prepared(const Prepared& prepared,
-                             QuerySelection* selection = nullptr) const;
+  /// Runs the planning service's second phase on the consult's (possibly
+  /// reduced) selection, metrics + trace spans included; failures become
+  /// StatusError{kPlanRejected}.
+  PlannedQuery plan_prepared(const Prepared& prepared, QuerySelection&& selection) const;
   /// Executes a planned query.  `gang_executor` non-null routes
   /// execution through the gang's shared executor (batch path) instead
   /// of the pool; per-query attribution is unchanged.  `marginal`

@@ -8,13 +8,6 @@
 namespace adr {
 namespace {
 
-/// True when node p holds a replica (owner copy or ghost) of output o.
-bool hosts_replica(const QueryPlan& plan, int p, std::uint32_t o) {
-  if (plan.owner_of_output[o] == p) return true;
-  const auto& hosts = plan.ghost_hosts[o];
-  return std::binary_search(hosts.begin(), hosts.end(), p);
-}
-
 double disk_time(const MachineParams& m, std::uint64_t bytes, std::uint64_t chunks) {
   return static_cast<double>(chunks) * m.disk_seek_s +
          static_cast<double>(bytes) / m.disk_bw_bytes_per_s;
@@ -56,6 +49,10 @@ CostEstimate estimate_cost(const QueryPlan& plan, const PlannerInput& in,
   std::vector<NodePhase> lr_p(static_cast<size_t>(nodes));
   std::vector<NodePhase> gc_p(static_cast<size_t>(nodes));
   std::vector<NodePhase> oh_p(static_cast<size_t>(nodes));
+  std::vector<int> dests;  // forward destinations of one input chunk
+  double mean_in = 0.0;    // mean input chunk size
+  for (std::uint64_t b : in.input_bytes) mean_in += static_cast<double>(b);
+  if (!in.input_bytes.empty()) mean_in /= static_cast<double>(in.input_bytes.size());
 
   for (int t = 0; t < tiles; ++t) {
     for (auto& v : {&init_p, &lr_p, &gc_p, &oh_p}) {
@@ -95,10 +92,10 @@ CostEstimate estimate_cost(const QueryPlan& plan, const PlannerInput& in,
 
       std::uint64_t pairs_local = 0, fwd_bytes = 0, fwd_msgs = 0;
       for (std::uint32_t i : tp.reads) {
-        std::vector<int> dests;
-        for (std::uint32_t o : mapping.in_to_out[i]) {
+        dests.clear();
+        for (std::uint32_t o : mapping.outputs_of(i)) {
           if (plan.tile_of_output[o] != t) continue;
-          if (hosts_replica(plan, n, o)) {
+          if (plan.hosts_replica(n, o)) {
             ++pairs_local;
           } else {
             dests.push_back(plan.owner_of_output[o]);
@@ -112,16 +109,13 @@ CostEstimate estimate_cost(const QueryPlan& plan, const PlannerInput& in,
       // Pairs this node aggregates as the receiver of forwarded inputs.
       std::uint64_t pairs_recv = 0, recv_bytes = 0;
       for (std::uint32_t o : tp.local_accum) {
-        for (std::uint32_t i : mapping.out_to_in[o]) {
+        for (std::uint32_t i : mapping.inputs_of(o)) {
           const int src = in.owner_of_input[i];
-          if (src != n && !hosts_replica(plan, src, o)) ++pairs_recv;
+          if (src != n && !plan.hosts_replica(src, o)) ++pairs_recv;
         }
       }
       // Received bytes: expected_inputs messages of mean input size.
       if (tp.expected_inputs > 0 && !in.input_bytes.empty()) {
-        double mean_in = 0.0;
-        for (std::uint64_t b : in.input_bytes) mean_in += static_cast<double>(b);
-        mean_in /= static_cast<double>(in.input_bytes.size());
         recv_bytes = static_cast<std::uint64_t>(mean_in * tp.expected_inputs);
       }
       lp.cpu = costs.lr_pair * static_cast<double>(pairs_local + pairs_recv) +

@@ -36,7 +36,7 @@ QueryPlan plan_hybrid(const PlannerInput& in, double threshold) {
   for (std::uint32_t c = 0; c < num_outputs; ++c) {
     std::fill(contrib.begin(), contrib.end(), 0);
     std::uint64_t total = 0;
-    for (std::uint32_t i : mapping.out_to_in[c]) {
+    for (std::uint32_t i : mapping.inputs_of(c)) {
       contrib[static_cast<size_t>(in.owner_of_input[i])] += in.input_bytes[i];
       total += in.input_bytes[i];
     }

@@ -6,20 +6,17 @@
 
 namespace adr {
 
-std::size_t ChunkMapping::edge_count() const {
-  std::size_t edges = 0;
-  for (const auto& outs : in_to_out) edges += outs.size();
-  return edges;
-}
-
-double ChunkMapping::mean_fan_out() const {
-  if (in_to_out.empty()) return 0.0;
-  return static_cast<double>(edge_count()) / static_cast<double>(in_to_out.size());
-}
-
-double ChunkMapping::mean_fan_in() const {
-  if (out_to_in.empty()) return 0.0;
-  return static_cast<double>(edge_count()) / static_cast<double>(out_to_in.size());
+void ChunkMapping::transpose(std::size_t num_outputs) {
+  in_offsets.assign(num_outputs + 1, 0);
+  for (std::uint32_t o : out_ids) ++in_offsets[o + 1];
+  for (std::size_t o = 0; o < num_outputs; ++o) in_offsets[o + 1] += in_offsets[o];
+  in_ids.resize(out_ids.size());
+  // Inputs are scattered in ascending order, so every column comes out
+  // sorted.
+  std::vector<std::uint32_t> next(in_offsets.begin(), in_offsets.end() - 1);
+  for (std::uint32_t i = 0; i < num_inputs(); ++i) {
+    for (std::uint32_t o : outputs_of(i)) in_ids[next[o]++] = i;
+  }
 }
 
 bool PlannerInput::valid() const {

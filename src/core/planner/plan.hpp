@@ -11,7 +11,9 @@
 // context translates them back to dataset chunk ids.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,19 +21,44 @@
 
 namespace adr {
 
-/// Chunk-level input->output mapping for one query.
+/// Chunk-level input->output mapping for one query, flat in both
+/// directions (CSR: an offsets array plus one ids array per direction).
 struct ChunkMapping {
-  /// in_to_out[i] = sorted output positions input i contributes to.
-  std::vector<std::vector<std::uint32_t>> in_to_out;
-  /// out_to_in[o] = sorted input positions contributing to output o.
-  std::vector<std::vector<std::uint32_t>> out_to_in;
+  /// Input i feeds out_ids[out_offsets[i] .. out_offsets[i + 1]),
+  /// ascending output positions.
+  std::vector<std::uint32_t> out_offsets{0};
+  std::vector<std::uint32_t> out_ids;
+  /// Output o is fed by in_ids[in_offsets[o] .. in_offsets[o + 1]),
+  /// ascending input positions.
+  std::vector<std::uint32_t> in_offsets{0};
+  std::vector<std::uint32_t> in_ids;
 
-  std::size_t num_inputs() const { return in_to_out.size(); }
-  std::size_t num_outputs() const { return out_to_in.size(); }
+  std::span<const std::uint32_t> outputs_of(std::size_t input) const {
+    return {out_ids.data() + out_offsets[input], out_ids.data() + out_offsets[input + 1]};
+  }
+  std::span<const std::uint32_t> inputs_of(std::size_t output) const {
+    return {in_ids.data() + in_offsets[output], in_ids.data() + in_offsets[output + 1]};
+  }
 
-  std::size_t edge_count() const;
-  double mean_fan_out() const;  // avg outputs per input
-  double mean_fan_in() const;   // avg inputs per output
+  // 0, not -1, on a moved-from mapping: it has no offsets at all.
+  std::size_t num_inputs() const {
+    return out_offsets.empty() ? 0 : out_offsets.size() - 1;
+  }
+  std::size_t num_outputs() const {
+    return in_offsets.empty() ? 0 : in_offsets.size() - 1;
+  }
+
+  std::size_t edge_count() const { return out_ids.size(); }
+  double mean_fan_out() const {  // avg outputs per input
+    return num_inputs() == 0 ? 0.0 : double(edge_count()) / double(num_inputs());
+  }
+  double mean_fan_in() const {  // avg inputs per output
+    return num_outputs() == 0 ? 0.0 : double(edge_count()) / double(num_outputs());
+  }
+
+  /// Fills the output->input direction from the input->output rows by a
+  /// counting-sort transpose over `num_outputs` outputs.
+  void transpose(std::size_t num_outputs);
 };
 
 /// Everything the strategies need to partition work.
@@ -91,6 +118,12 @@ struct QueryPlan {
 
   /// node_tiles[node][tile].
   std::vector<std::vector<NodeTilePlan>> node_tiles;
+
+  /// True when `node` holds a replica (owner copy or ghost) of output o.
+  bool hosts_replica(int node, std::uint32_t o) const {
+    return owner_of_output[o] == node ||
+           std::binary_search(ghost_hosts[o].begin(), ghost_hosts[o].end(), node);
+  }
 
   // ---- plan-level statistics (inputs to the cost model & benches) ----
   std::uint64_t total_ghost_chunks = 0;  // sum over tiles/nodes of ghosts

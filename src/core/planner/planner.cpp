@@ -4,22 +4,13 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/planner/mapping.hpp"
 #include "core/planner/tiling.hpp"
 
 namespace adr {
-namespace {
-
-bool hosts_replica(const QueryPlan& plan, int p, std::uint32_t o) {
-  if (plan.owner_of_output[o] == p) return true;
-  const auto& hosts = plan.ghost_hosts[o];
-  return std::binary_search(hosts.begin(), hosts.end(), p);
-}
-
-}  // namespace
 
 void populate_plan(QueryPlan& plan, const PlannerInput& in) {
   const ChunkMapping& mapping = *in.mapping;
@@ -45,42 +36,30 @@ void populate_plan(QueryPlan& plan, const PlannerInput& in) {
   }
 
   // Read lists: a node reads each of its local input chunks once per tile
-  // in which the chunk has at least one target output chunk.
-  std::unordered_set<int> tiles_needed;
+  // in which the chunk has at least one target output chunk.  Inputs go
+  // in ascending, so every read list comes out in ascending position.
+  // Stamps (input position + 1) mark the tiles, and the (destination,
+  // tile) pairs, already counted for the current input.
+  const auto tiles = static_cast<std::size_t>(plan.num_tiles);
+  std::vector<std::uint32_t> tile_stamp(tiles, 0);
+  std::vector<std::uint32_t> dest_stamp(plan.node_tiles.size() * tiles, 0);
   for (std::uint32_t i = 0; i < num_inputs; ++i) {
-    const auto& outs = mapping.in_to_out[i];
-    if (outs.empty()) continue;
-    tiles_needed.clear();
-    for (std::uint32_t o : outs) tiles_needed.insert(plan.tile_of_output[o]);
+    const std::uint32_t stamp = i + 1;
     const int node = in.owner_of_input[i];
-    for (int t : tiles_needed) {
-      plan.node_tiles[static_cast<size_t>(node)][static_cast<size_t>(t)].reads.push_back(i);
-    }
-  }
-  // Deterministic read order (ascending input position).
-  for (auto& node : plan.node_tiles) {
-    for (auto& tile : node) std::sort(tile.reads.begin(), tile.reads.end());
-  }
-
-  // Forwarded-input message counts: for every edge whose source node does
-  // not host the target replica, the input chunk travels to the owner —
-  // one message per distinct (input, destination, tile).
-  std::unordered_set<std::uint64_t> dests;  // packed (dst, tile)
-  for (std::uint32_t i = 0; i < num_inputs; ++i) {
-    const int src = in.owner_of_input[i];
-    dests.clear();
-    for (std::uint32_t o : mapping.in_to_out[i]) {
-      if (hosts_replica(plan, src, o)) continue;
-      const int dst = plan.owner_of_output[o];
-      const int tile = plan.tile_of_output[o];
-      dests.insert((static_cast<std::uint64_t>(dst) << 32) |
-                   static_cast<std::uint32_t>(tile));
-    }
-    for (std::uint64_t key : dests) {
-      const int dst = static_cast<int>(key >> 32);
-      const int tile = static_cast<int>(key & 0xffffffffu);
-      plan.node_tiles[static_cast<size_t>(dst)][static_cast<size_t>(tile)]
-          .expected_inputs += 1;
+    auto& node_tiles = plan.node_tiles[static_cast<size_t>(node)];
+    for (std::uint32_t o : mapping.outputs_of(i)) {
+      const auto tile = static_cast<std::size_t>(plan.tile_of_output[o]);
+      if (std::exchange(tile_stamp[tile], stamp) != stamp) {
+        node_tiles[tile].reads.push_back(i);
+      }
+      // Forwarded-input messages: for every edge whose source node does
+      // not host the target replica, the input chunk travels to the
+      // owner — one message per distinct (input, destination, tile).
+      if (plan.hosts_replica(node, o)) continue;
+      const auto dst = static_cast<std::size_t>(plan.owner_of_output[o]);
+      if (std::exchange(dest_stamp[dst * tiles + tile], stamp) != stamp) {
+        plan.node_tiles[dst][tile].expected_inputs += 1;
+      }
     }
   }
 
@@ -118,10 +97,12 @@ QuerySelection select_query_chunks(const PlanRequest& request) {
 
   // --- selection through the indexing service (all input datasets).
   const std::vector<const Dataset*> inputs = collect_inputs(request);
+  std::vector<const Rect*> in_mbrs, out_mbrs;
   for (std::size_t ordinal = 0; ordinal < inputs.size(); ++ordinal) {
     for (std::uint32_t c : inputs[ordinal]->find_chunks(request.range)) {
       result.selected_inputs.push_back(c);
       result.input_dataset_of.push_back(static_cast<std::uint16_t>(ordinal));
+      in_mbrs.push_back(&inputs[ordinal]->chunk(c).mbr);
     }
   }
 
@@ -134,20 +115,43 @@ QuerySelection select_query_chunks(const PlanRequest& request) {
   if (result.selected_outputs.empty()) {
     throw std::invalid_argument("plan_query: query selects no output chunks");
   }
-
-  // --- chunk-level mapping over the selections.
-  std::vector<Rect> in_mbrs, out_mbrs;
-  in_mbrs.reserve(result.selected_inputs.size());
-  for (std::size_t pos = 0; pos < result.selected_inputs.size(); ++pos) {
-    const Dataset* ds = inputs[result.input_dataset_of[pos]];
-    in_mbrs.push_back(ds->chunk(result.selected_inputs[pos]).mbr);
-  }
   out_mbrs.reserve(result.selected_outputs.size());
   for (std::uint32_t c : result.selected_outputs) {
-    out_mbrs.push_back(request.output->chunk(c).mbr);
+    out_mbrs.push_back(&request.output->chunk(c).mbr);
   }
+
+  // --- chunk-level mapping over the selections, MBRs read in place.
   result.mapping = build_mapping(in_mbrs, out_mbrs, request.map);
   return result;
+}
+
+QuerySelection reduce_selection(const QuerySelection& selection,
+                                const std::vector<char>& served,
+                                std::vector<std::uint32_t>& dropped) {
+  QuerySelection reduced;
+  std::vector<std::uint32_t> new_out(selection.selected_outputs.size(), 0);
+  for (std::size_t o = 0; o < served.size(); ++o) {
+    if (served[o]) continue;
+    new_out[o] = static_cast<std::uint32_t>(reduced.selected_outputs.size());
+    reduced.selected_outputs.push_back(selection.selected_outputs[o]);
+  }
+  ChunkMapping& mapping = reduced.mapping;
+  for (std::uint32_t pos = 0; pos < selection.selected_inputs.size(); ++pos) {
+    const auto outs = selection.mapping.outputs_of(pos);
+    const std::size_t row_begin = mapping.out_ids.size();
+    for (std::uint32_t o : outs) {
+      if (!served[o]) mapping.out_ids.push_back(new_out[o]);
+    }
+    if (!outs.empty() && mapping.out_ids.size() == row_begin) {
+      dropped.push_back(pos);
+      continue;
+    }
+    reduced.selected_inputs.push_back(selection.selected_inputs[pos]);
+    reduced.input_dataset_of.push_back(selection.input_dataset_of[pos]);
+    mapping.out_offsets.push_back(static_cast<std::uint32_t>(mapping.out_ids.size()));
+  }
+  mapping.transpose(reduced.selected_outputs.size());
+  return reduced;
 }
 
 PlannedQuery plan_query(const PlanRequest& request, QuerySelection selection) {
@@ -161,8 +165,8 @@ PlannedQuery plan_query(const PlanRequest& request, QuerySelection selection) {
     throw std::invalid_argument("plan_query: query selects no output chunks");
   }
   if (selection.input_dataset_of.size() != selection.selected_inputs.size() ||
-      selection.mapping.in_to_out.size() != selection.selected_inputs.size() ||
-      selection.mapping.out_to_in.size() != selection.selected_outputs.size()) {
+      selection.mapping.num_inputs() != selection.selected_inputs.size() ||
+      selection.mapping.num_outputs() != selection.selected_outputs.size()) {
     throw std::invalid_argument("plan_query: inconsistent selection");
   }
 

@@ -64,6 +64,15 @@ struct QuerySelection {
   ChunkMapping mapping;
 };
 
+/// The marginal cache's partial hit: `selection` reduced to the outputs
+/// not `served` (served[o] != 0) and to the inputs that feed one of them
+/// or feed nothing at all, as the cold plan keeps those.  Positions keep
+/// their order and the mapping is rebuilt in one pass over its rows.
+/// `dropped` receives the original positions of the inputs left out.
+QuerySelection reduce_selection(const QuerySelection& selection,
+                                const std::vector<char>& served,
+                                std::vector<std::uint32_t>& dropped);
+
 /// A plan plus the selection context the execution service needs.
 struct PlannedQuery {
   QueryPlan plan;

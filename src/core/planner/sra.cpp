@@ -44,7 +44,7 @@ QueryPlan plan_sra(const PlannerInput& in) {
 
     // So: processors having at least one input chunk projecting to C.
     hosts.clear();
-    for (std::uint32_t i : mapping.out_to_in[c]) hosts.push_back(in.owner_of_input[i]);
+    for (std::uint32_t i : mapping.inputs_of(c)) hosts.push_back(in.owner_of_input[i]);
     hosts.push_back(owner);
     std::sort(hosts.begin(), hosts.end());
     hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
+#include <utility>
 
 #include "common/hilbert.hpp"
 #include "common/random.hpp"
@@ -50,14 +50,17 @@ std::vector<std::uint32_t> tiling_order(const std::vector<Rect>& output_mbrs,
   return positions;
 }
 
-std::uint64_t tile_read_incidences(const std::vector<std::vector<std::uint32_t>>& in_to_out,
+std::uint64_t tile_read_incidences(const ChunkMapping& mapping,
                                    const std::vector<int>& tile_of_output) {
   std::uint64_t incidences = 0;
-  std::unordered_set<int> tiles;
-  for (const auto& outs : in_to_out) {
-    tiles.clear();
-    for (std::uint32_t o : outs) tiles.insert(tile_of_output[o]);
-    incidences += tiles.size();
+  // Stamp (input position + 1) per tile already counted for this input.
+  std::vector<std::uint32_t> stamp;
+  for (std::uint32_t i = 0; i < mapping.num_inputs(); ++i) {
+    for (std::uint32_t o : mapping.outputs_of(i)) {
+      const auto tile = static_cast<std::size_t>(tile_of_output[o]);
+      if (tile >= stamp.size()) stamp.resize(tile + 1, 0);
+      incidences += std::exchange(stamp[tile], i + 1) != i + 1;
+    }
   }
   return incidences;
 }

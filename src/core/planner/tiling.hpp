@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/geometry.hpp"
+#include "core/planner/plan.hpp"
 #include "core/query.hpp"
 
 namespace adr {
@@ -25,7 +26,7 @@ std::vector<std::uint32_t> tiling_order(const std::vector<Rect>& output_mbrs,
 /// the total number of (input chunk, tile) incidences, i.e. how many chunk
 /// reads a strategy that reads each needed input once per tile performs.
 /// Lower is better; the minimum is the number of distinct inputs used.
-std::uint64_t tile_read_incidences(const std::vector<std::vector<std::uint32_t>>& in_to_out,
+std::uint64_t tile_read_incidences(const ChunkMapping& mapping,
                                    const std::vector<int>& tile_of_output);
 
 }  // namespace adr

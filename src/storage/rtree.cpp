@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 namespace adr {
 
@@ -89,137 +87,6 @@ void RTree::bulk_load(const std::vector<Rect>& mbrs) {
     level = std::move(parents);
     leaf = false;
   }
-}
-
-void RTree::insert(const Rect& mbr, std::uint32_t value) {
-  ++count_;
-  // Descend to a leaf, remembering the path for MBR updates and splits.
-  std::vector<std::uint32_t> path;
-  std::uint32_t node = root_;
-  path.push_back(node);
-  while (!nodes_[node].leaf) {
-    // Choose the child needing least volume enlargement.
-    double best_growth = std::numeric_limits<double>::infinity();
-    double best_vol = std::numeric_limits<double>::infinity();
-    std::uint32_t best = 0;
-    for (const Entry& e : nodes_[node].entries) {
-      const double vol = e.mbr.volume();
-      const double grown = Rect::join(e.mbr, mbr).volume();
-      const double growth = grown - vol;
-      if (growth < best_growth || (growth == best_growth && vol < best_vol)) {
-        best_growth = growth;
-        best_vol = vol;
-        best = e.ref;
-      }
-    }
-    node = best;
-    path.push_back(node);
-  }
-
-  nodes_[node].entries.push_back({mbr, value});
-
-  // Walk back up: split overflowing nodes, refresh parent MBRs.
-  for (auto level = static_cast<int>(path.size()) - 1; level >= 0; --level) {
-    const std::uint32_t cur = path[static_cast<std::size_t>(level)];
-    std::uint32_t sibling = 0;
-    const bool overflow =
-        nodes_[cur].entries.size() > static_cast<std::size_t>(max_entries_);
-    if (overflow) sibling = split_node(cur);
-
-    if (level == 0) {
-      if (overflow) {
-        const std::uint32_t new_root = new_node(/*leaf=*/false);
-        nodes_[new_root].entries.push_back({nodes_[cur].mbr(), cur});
-        nodes_[new_root].entries.push_back({nodes_[sibling].mbr(), sibling});
-        root_ = new_root;
-      }
-      break;
-    }
-
-    // Refresh this child's MBR in the parent; attach the sibling.
-    const std::uint32_t parent = path[static_cast<std::size_t>(level - 1)];
-    for (Entry& e : nodes_[parent].entries) {
-      if (e.ref == cur) {
-        e.mbr = nodes_[cur].mbr();
-        break;
-      }
-    }
-    if (overflow) nodes_[parent].entries.push_back({nodes_[sibling].mbr(), sibling});
-  }
-}
-
-std::uint32_t RTree::split_node(std::uint32_t node) {
-  // Guttman linear split: pick the pair of entries with the greatest
-  // normalized separation as seeds, then assign the rest greedily.
-  std::vector<Entry> entries = std::move(nodes_[node].entries);
-  nodes_[node].entries.clear();
-  const int dims = entries.front().mbr.dims();
-
-  std::size_t seed_a = 0, seed_b = 1;
-  double best_sep = -1.0;
-  for (int d = 0; d < dims; ++d) {
-    double lo_max = -std::numeric_limits<double>::infinity();
-    double hi_min = std::numeric_limits<double>::infinity();
-    double lo_min = std::numeric_limits<double>::infinity();
-    double hi_max = -std::numeric_limits<double>::infinity();
-    std::size_t lo_max_i = 0, hi_min_i = 0;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const Rect& r = entries[i].mbr;
-      if (r.lo()[d] > lo_max) {
-        lo_max = r.lo()[d];
-        lo_max_i = i;
-      }
-      if (r.hi()[d] < hi_min) {
-        hi_min = r.hi()[d];
-        hi_min_i = i;
-      }
-      lo_min = std::min(lo_min, r.lo()[d]);
-      hi_max = std::max(hi_max, r.hi()[d]);
-    }
-    const double width = hi_max - lo_min;
-    const double sep = width > 0 ? (lo_max - hi_min) / width : 0.0;
-    if (sep > best_sep && lo_max_i != hi_min_i) {
-      best_sep = sep;
-      seed_a = lo_max_i;
-      seed_b = hi_min_i;
-    }
-  }
-  if (seed_a == seed_b) seed_b = (seed_a + 1) % entries.size();
-
-  const std::uint32_t sibling = new_node(nodes_[node].leaf);
-  Rect mbr_a = entries[seed_a].mbr;
-  Rect mbr_b = entries[seed_b].mbr;
-  nodes_[node].entries.push_back(entries[seed_a]);
-  nodes_[sibling].entries.push_back(entries[seed_b]);
-
-  const std::size_t min_fill = static_cast<std::size_t>(max_entries_) / 2;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (i == seed_a || i == seed_b) continue;
-    const std::size_t remaining = entries.size() - i;  // coarse upper bound
-    Node& a = nodes_[node];
-    Node& b = nodes_[sibling];
-    // Force-fill a side that could not otherwise reach minimum occupancy.
-    if (a.entries.size() + remaining <= min_fill) {
-      a.entries.push_back(entries[i]);
-      mbr_a = Rect::join(mbr_a, entries[i].mbr);
-      continue;
-    }
-    if (b.entries.size() + remaining <= min_fill) {
-      b.entries.push_back(entries[i]);
-      mbr_b = Rect::join(mbr_b, entries[i].mbr);
-      continue;
-    }
-    const double grow_a = Rect::join(mbr_a, entries[i].mbr).volume() - mbr_a.volume();
-    const double grow_b = Rect::join(mbr_b, entries[i].mbr).volume() - mbr_b.volume();
-    if (grow_a < grow_b || (grow_a == grow_b && a.entries.size() <= b.entries.size())) {
-      a.entries.push_back(entries[i]);
-      mbr_a = Rect::join(mbr_a, entries[i].mbr);
-    } else {
-      b.entries.push_back(entries[i]);
-      mbr_b = Rect::join(mbr_b, entries[i].mbr);
-    }
-  }
-  return sibling;
 }
 
 void RTree::visit_node(std::uint32_t node, const Rect& query,

@@ -2,9 +2,8 @@
 //
 // After chunks are placed on the disk farm, an R-tree is built over their
 // MBRs; at query time it returns the chunks whose MBRs intersect the range
-// query (paper section 2.2).  Supports Sort-Tile-Recursive (STR) bulk
-// loading for dataset loads and Guttman-style dynamic insertion with
-// linear-split for incremental appends.
+// query (paper section 2.2).  Built by Sort-Tile-Recursive (STR) bulk
+// loading; a dataset whose chunks change is re-indexed whole.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +22,6 @@ class RTree {
   /// Builds the tree from scratch with STR bulk loading.
   /// `mbrs[i]` becomes the entry with value `i`.
   void bulk_load(const std::vector<Rect>& mbrs);
-
-  /// Inserts a single entry (Guttman insert, linear split).
-  void insert(const Rect& mbr, std::uint32_t value);
 
   /// Returns the values of all entries whose MBR intersects `query`,
   /// in ascending value order.
@@ -58,10 +54,6 @@ class RTree {
   std::uint32_t new_node(bool leaf);
   void visit_node(std::uint32_t node, const Rect& query,
                   const std::function<void(std::uint32_t, const Rect&)>& fn) const;
-  std::uint32_t choose_leaf(std::uint32_t node, const Rect& mbr, int target_level,
-                            int level, std::vector<std::uint32_t>& path);
-  /// Splits an overflowing node; returns the new sibling index.
-  std::uint32_t split_node(std::uint32_t node);
   int node_height(std::uint32_t node) const;
 
   int max_entries_;

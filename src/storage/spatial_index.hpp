@@ -48,7 +48,6 @@ class RTreeIndex : public SpatialIndex {
     return tree_.query(range);
   }
   std::size_t size() const override { return tree_.size(); }
-  const RTree& tree() const { return tree_; }
 
  private:
   RTree tree_;

@@ -109,12 +109,12 @@ TEST(SatEmulator, PolarOversamplingSkew) {
   double polar_fan = 0.0, mid_fan = 0.0;
   for (int iy : {0, 15}) {
     for (int ix = 0; ix < 16; ++ix) {
-      polar_fan += static_cast<double>(m.out_to_in[static_cast<size_t>(iy * 16 + ix)].size());
+      polar_fan += static_cast<double>(m.inputs_of(static_cast<size_t>(iy * 16 + ix)).size());
     }
   }
   for (int iy : {7, 8}) {
     for (int ix = 0; ix < 16; ++ix) {
-      mid_fan += static_cast<double>(m.out_to_in[static_cast<size_t>(iy * 16 + ix)].size());
+      mid_fan += static_cast<double>(m.inputs_of(static_cast<size_t>(iy * 16 + ix)).size());
     }
   }
   EXPECT_GT(polar_fan, 1.3 * mid_fan);
@@ -149,7 +149,9 @@ TEST(VmEmulator, FanOutExactlyOne) {
   const EmulatedApp app = make_vm(p);
   EXPECT_EQ(app.input_chunks.size(), 4096u);
   const ChunkMapping m = map_app(app);
-  for (const auto& outs : m.in_to_out) EXPECT_EQ(outs.size(), 1u);
+  for (std::uint32_t i = 0; i < m.num_inputs(); ++i) {
+    EXPECT_EQ(m.outputs_of(i).size(), 1u);
+  }
   EXPECT_DOUBLE_EQ(m.mean_fan_in(), 16.0);  // paper Table 1
 }
 

@@ -51,7 +51,6 @@ TEST(Rect, CubeCoversRange) {
   EXPECT_EQ(r.dims(), 3);
   EXPECT_TRUE(r.valid());
   EXPECT_DOUBLE_EQ(r.volume(), 8.0);
-  EXPECT_DOUBLE_EQ(r.margin(), 6.0);
 }
 
 TEST(Rect, DefaultInvalid) {

@@ -15,6 +15,7 @@
 
 #include "common/fault.hpp"
 #include "core/frontend.hpp"
+#include "obs/metrics.hpp"
 #include "storage/disk_store.hpp"
 #include "storage/marginal_cache.hpp"
 #include "test_helpers.hpp"
@@ -521,6 +522,26 @@ TEST(MarginalServing, CachedResultsByteIdenticalAcrossStrategiesAndGangs) {
       EXPECT_GT(f.repo.marginal_cache_stats().hits, 0u);
     }
   }
+}
+
+TEST(MarginalServing, SelectionTimedApartFromPlanningOnEveryPath) {
+  auto count = [](const char* name) {
+    return obs::metrics().histogram(name).snapshot().count;
+  };
+  auto expect_observed = [&](Repository& repo, const Query& q, std::uint64_t selects,
+                             std::uint64_t plans) {
+    const std::uint64_t select0 = count("submit.select_s");
+    const std::uint64_t plan0 = count("submit.plan_s");
+    repo.submit(q);
+    EXPECT_EQ(count("submit.select_s") - select0, selects);
+    EXPECT_EQ(count("submit.plan_s") - plan0, plans);
+  };
+  Fixture cached;
+  const Query q = window(cached.in, cached.out, 0.0, 0.999);
+  expect_observed(cached.repo, q, 1, 1);  // consult path, all misses
+  expect_observed(cached.repo, q, 1, 0);  // fully served: selected, never planned
+  Fixture uncached(marginal_config(/*marginal_bytes=*/0));
+  expect_observed(uncached.repo, window(uncached.in, uncached.out, 0.0, 0.999), 1, 1);
 }
 
 TEST(MarginalServing, DisabledCacheKeepsSeedBehaviour) {

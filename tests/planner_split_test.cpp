@@ -81,7 +81,9 @@ TEST(PlannerSplit, FullDomainSelectionCoversEverything) {
   // (a 2x2 block of input cells nests inside each output cell).
   ASSERT_EQ(sel.mapping.num_inputs(), sel.selected_inputs.size());
   ASSERT_EQ(sel.mapping.num_outputs(), sel.selected_outputs.size());
-  for (const auto& ins : sel.mapping.out_to_in) EXPECT_EQ(ins.size(), 4u);
+  for (std::uint32_t o = 0; o < sel.mapping.num_outputs(); ++o) {
+    EXPECT_EQ(sel.mapping.inputs_of(o).size(), 4u);
+  }
 }
 
 TEST(PlannerSplit, SubRangeSelectsOnlyIntersectingChunks) {
@@ -140,16 +142,13 @@ TEST(PlannerSplit, SingleChunkResidualSelectionPlans) {
   QuerySelection residual;
   const std::uint32_t kept = 0;  // keep output position 0 only
   residual.selected_outputs = {full.selected_outputs[kept]};
-  std::vector<std::uint32_t> kept_inputs = full.mapping.out_to_in[kept];
+  std::vector<std::uint32_t> kept_inputs = testing::ids(full.mapping.inputs_of(kept));
   for (const std::uint32_t pos : kept_inputs) {
     residual.selected_inputs.push_back(full.selected_inputs[pos]);
     residual.input_dataset_of.push_back(full.input_dataset_of[pos]);
   }
-  residual.mapping.out_to_in = {{}};
-  for (std::uint32_t i = 0; i < residual.selected_inputs.size(); ++i) {
-    residual.mapping.in_to_out.push_back({0});
-    residual.mapping.out_to_in[0].push_back(i);
-  }
+  residual.mapping = testing::mapping_from_lists(
+      std::vector<std::vector<std::uint32_t>>(residual.selected_inputs.size(), {0}), 1);
 
   const PlannedQuery planned = plan_query(req, residual);
   EXPECT_EQ(planned.selected_outputs.size(), 1u);

@@ -155,7 +155,7 @@ TEST_P(EndToEndPropertyTest, StrategiesAgreeWithReference) {
     for (int j = 0; j < n; ++j) {
       values[i].push_back(static_cast<std::uint64_t>(rng.uniform_int(0, 999)));
     }
-    for (std::uint32_t o : s.mapping.in_to_out[i]) {
+    for (std::uint32_t o : s.mapping.outputs_of(i)) {
       for (std::uint64_t v : values[i]) {
         expected[o].sum += v;
         expected[o].count += 1;

@@ -104,7 +104,7 @@ std::map<std::uint32_t, Scm> reference_outputs(const Pipeline& p) {
   for (std::uint32_t i = 0; i < p.input.num_chunks(); ++i) {
     const ChunkMeta& meta = p.input.chunk(i);
     auto chunk = p.store->get(meta.disk, meta.id);
-    for (std::uint32_t o : p.scenario.mapping.in_to_out[i]) {
+    for (std::uint32_t o : p.scenario.mapping.outputs_of(i)) {
       Scm& s = out[o];
       for (std::uint64_t v : chunk->as<std::uint64_t>()) {
         s.sum += v;

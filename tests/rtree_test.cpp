@@ -81,38 +81,6 @@ TEST(RTree, BulkLoadMatchesBruteForce3D) {
   }
 }
 
-TEST(RTree, InsertMatchesBruteForce) {
-  const auto rects = random_rects(400, 2, 5);
-  RTree tree(8);
-  for (std::uint32_t i = 0; i < rects.size(); ++i) tree.insert(rects[i], i);
-  EXPECT_EQ(tree.size(), 400u);
-  Rng rng(6);
-  for (int q = 0; q < 40; ++q) {
-    Point lo(2), hi(2);
-    for (int d = 0; d < 2; ++d) {
-      lo[d] = rng.uniform(0.0, 90.0);
-      hi[d] = lo[d] + rng.uniform(0.0, 25.0);
-    }
-    const Rect query(lo, hi);
-    EXPECT_EQ(tree.query(query), brute_force(rects, query));
-  }
-}
-
-TEST(RTree, MixedBulkLoadThenInsert) {
-  auto rects = random_rects(200, 2, 7);
-  RTree tree;
-  tree.bulk_load(rects);
-  const auto extra = random_rects(100, 2, 8);
-  for (std::uint32_t i = 0; i < extra.size(); ++i) {
-    tree.insert(extra[i], 200 + i);
-    rects.push_back(extra[i]);
-  }
-  const Rect everything = Rect::cube(2, -10.0, 200.0);
-  auto result = tree.query(everything);
-  EXPECT_EQ(result.size(), 300u);
-  EXPECT_EQ(result, brute_force(rects, everything));
-}
-
 TEST(RTree, QueryAllReturnsSortedValues) {
   const auto rects = random_rects(100, 2, 9);
   RTree tree;
@@ -158,12 +126,6 @@ TEST(RTree, DuplicateRectsAllReturned) {
   RTree tree(4);
   tree.bulk_load(rects);
   EXPECT_EQ(tree.query(Rect::cube(2, 0.5, 0.6)).size(), 20u);
-}
-
-TEST(RTree, InsertDuplicatesSplitCorrectly) {
-  RTree tree(4);
-  for (std::uint32_t i = 0; i < 50; ++i) tree.insert(Rect::cube(2, 0.0, 1.0), i);
-  EXPECT_EQ(tree.query(Rect::cube(2, 0.0, 1.0)).size(), 50u);
 }
 
 }  // namespace

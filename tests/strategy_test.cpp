@@ -86,7 +86,7 @@ TEST_P(StrategyTest, ReadsCoverEveryMappedInputChunk) {
     for (const auto& tile : node) read.insert(tile.reads.begin(), tile.reads.end());
   }
   for (std::uint32_t i = 0; i < s.mapping.num_inputs(); ++i) {
-    if (!s.mapping.in_to_out[i].empty()) {
+    if (!s.mapping.outputs_of(i).empty()) {
       EXPECT_TRUE(read.contains(i)) << "input " << i;
     }
   }
@@ -168,7 +168,7 @@ TEST(SraPlan, GhostsOnlyOnContributingProcessors) {
   const QueryPlan plan = plan_sra(in);
   for (std::uint32_t o = 0; o < 16; ++o) {
     std::set<int> contributors;
-    for (std::uint32_t i : s.mapping.out_to_in[o]) {
+    for (std::uint32_t i : s.mapping.inputs_of(o)) {
       contributors.insert(in.owner_of_input[i]);
     }
     for (int host : plan.ghost_hosts[o]) {
@@ -289,7 +289,7 @@ TEST(StrategyComparison, ForwardCountsConsistentWithGhostSets) {
     std::size_t forwarded_edges = 0;
     for (std::uint32_t i = 0; i < s.mapping.num_inputs(); ++i) {
       const int src = in.owner_of_input[i];
-      for (std::uint32_t o : s.mapping.in_to_out[i]) {
+      for (std::uint32_t o : s.mapping.outputs_of(i)) {
         const bool hosted = plan.owner_of_output[o] == src ||
                             std::binary_search(plan.ghost_hosts[o].begin(),
                                                plan.ghost_hosts[o].end(), src);

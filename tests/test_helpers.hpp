@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -20,6 +21,24 @@ struct GridScenario {
   std::vector<Rect> output_mbrs;
   ChunkMapping mapping;
 };
+
+/// A mapping row as a vector, for comparisons.
+inline std::vector<std::uint32_t> ids(std::span<const std::uint32_t> row) {
+  return {row.begin(), row.end()};
+}
+
+/// The mapping whose input->output rows are `rows`, over `num_outputs`
+/// outputs.
+inline ChunkMapping mapping_from_lists(
+    const std::vector<std::vector<std::uint32_t>>& rows, std::size_t num_outputs) {
+  ChunkMapping m;
+  for (const auto& row : rows) {
+    m.out_ids.insert(m.out_ids.end(), row.begin(), row.end());
+    m.out_offsets.push_back(static_cast<std::uint32_t>(m.out_ids.size()));
+  }
+  m.transpose(num_outputs);
+  return m;
+}
 
 inline Rect cell(const Rect& domain, int n, int ix, int iy) {
   const double dx = domain.extent(0) / n;

@@ -55,7 +55,7 @@ TEST(TilingOrder, RandomSeedControls) {
 
 TEST(TileReadIncidences, CountsDistinctTilesPerInput) {
   // Input 0 -> outputs {0, 1}; input 1 -> {1}; tiles: 0->t0, 1->t1.
-  std::vector<std::vector<std::uint32_t>> in_to_out = {{0, 1}, {1}};
+  const ChunkMapping in_to_out = testing::mapping_from_lists({{0, 1}, {1}}, 2);
   std::vector<int> tile_of_output = {0, 1};
   EXPECT_EQ(tile_read_incidences(in_to_out, tile_of_output), 3u);
   // Same tile: each input read once.
@@ -87,7 +87,7 @@ TEST(TileReadIncidences, HilbertBeatsRandomOrderOnLocalizedInputs) {
     for (std::size_t pos = 0; pos < perm.size(); ++pos) {
       tile_of_output[perm[pos]] = static_cast<int>(pos / 8);
     }
-    return tile_read_incidences(m.in_to_out, tile_of_output);
+    return tile_read_incidences(m, tile_of_output);
   };
 
   EXPECT_LT(tiles_for(TilingOrder::kHilbert), tiles_for(TilingOrder::kRandom));

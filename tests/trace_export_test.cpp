@@ -225,6 +225,7 @@ TEST(TraceExport, SchedulerRunEmitsLifecycleSpans) {
       }
     }
     EXPECT_TRUE(names.count("queued")) << "missing queued span";
+    EXPECT_TRUE(names.count("selected")) << "missing selected span";
     EXPECT_TRUE(names.count("planned")) << "missing planned span";
     EXPECT_TRUE(names.count("execute")) << "missing execute span";
     EXPECT_TRUE(phase_span_has_tile) << "missing per-tile engine phase spans";
