@@ -394,10 +394,17 @@ class Engine {
                   [this, node, i, msg_bytes, targets = std::move(local_targets),
                    dests = std::move(remote_dests), held]() {
                     NodeStats& ns = nstats(node);
+                    // Only a forwarded chunk needs a shared buffer; with no
+                    // local target left to reduce, the payload moves into it.
                     std::shared_ptr<const std::vector<std::byte>> payload;
-                    if (held->has_value() && (*held)->has_payload()) {
-                      payload = std::make_shared<const std::vector<std::byte>>(
-                          (*held)->payload());
+                    if (!dests.empty() && held->has_value() && (*held)->has_payload()) {
+                      std::vector<std::byte>& bytes = (*held)->payload();
+                      if (targets.empty()) {
+                        payload = std::make_shared<const std::vector<std::byte>>(
+                            std::move(bytes));
+                      } else {
+                        payload = std::make_shared<const std::vector<std::byte>>(bytes);
+                      }
                     }
                     for (int dst : dests) {
                       Message msg;

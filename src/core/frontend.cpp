@@ -34,6 +34,8 @@ struct SubmitMetrics {
   /// End-to-end latency split by the strategy the planner chose
   /// (indexed by StrategyKind kFRA..kHybrid).
   std::array<obs::Histogram*, 4> by_strategy;
+  /// Executed thread-backend queries' phase times: I, LR, GC, OH.
+  std::array<obs::Histogram*, 4> phase;
 };
 
 SubmitMetrics& submit_metrics() {
@@ -45,7 +47,11 @@ SubmitMetrics& submit_metrics() {
                          {&obs::metrics().histogram("submit.latency_s.fra"),
                           &obs::metrics().histogram("submit.latency_s.sra"),
                           &obs::metrics().histogram("submit.latency_s.da"),
-                          &obs::metrics().histogram("submit.latency_s.hybrid")}};
+                          &obs::metrics().histogram("submit.latency_s.hybrid")},
+                         {&obs::metrics().histogram("exec.phase_init_s"),
+                          &obs::metrics().histogram("exec.phase_lr_s"),
+                          &obs::metrics().histogram("exec.phase_gc_s"),
+                          &obs::metrics().histogram("exec.phase_oh_s")}};
   return m;
 }
 
@@ -664,6 +670,11 @@ QueryResult Repository::execute_planned_locked(const Query& query,
       result.stats = execute_query(executor, planned, prepared.all_inputs, *prepared.output,
                                    prepared.op, costs, config_.disks_per_node, options);
     }
+    const std::array<obs::Histogram*, 4>& phase = submit_metrics().phase;
+    phase[0]->observe(result.stats.phase_init_s);
+    phase[1]->observe(result.stats.phase_lr_s);
+    phase[2]->observe(result.stats.phase_gc_s);
+    phase[3]->observe(result.stats.phase_oh_s);
     if (cache_ != nullptr) {
       const ChunkCacheStats after = cache_->stats();
       result.stats.cache_hits = after.hits - cache_before.hits;

@@ -62,6 +62,13 @@ class Executor {
 
   /// Performs `cost_seconds` of computation on `node`'s CPU, then invokes
   /// `done` (which performs the real data work on the thread executor).
+  /// Ordering: computes that `node` issues in its own context run in
+  /// issue order, and none waits behind the node's queued reads or
+  /// undelivered messages, so a chunk is reduced as soon as its read
+  /// completes.  The simulator queues them on the node's CPU model; the
+  /// thread executor runs them before the node's next queued task.  On
+  /// the thread executor a compute() issued from another thread queues
+  /// behind `node`'s pending tasks, like post().
   virtual void compute(int node, double cost_seconds, Task done) = 0;
 
   /// Global barrier: `done` fires in `node`'s context once every node has

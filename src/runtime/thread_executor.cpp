@@ -12,6 +12,13 @@
 
 namespace adr {
 
+namespace {
+// The worker whose node thread is running this code; null on any other
+// thread.  compute() reads it to tell a node's own continuation apart
+// from one issued elsewhere.
+thread_local const void* tl_worker = nullptr;
+}  // namespace
+
 ThreadExecutor::ThreadExecutor(int num_nodes, int disks_per_node, ChunkStore* store)
     : disks_per_node_(disks_per_node), store_(store) {
   assert(num_nodes >= 1);
@@ -70,6 +77,7 @@ ThreadExecutor::~ThreadExecutor() {
 
 void ThreadExecutor::worker_loop(int node) {
   Worker& w = *workers_[static_cast<size_t>(node)];
+  tl_worker = &w;
   for (;;) {
     Task task;
     {
@@ -80,6 +88,13 @@ void ThreadExecutor::worker_loop(int node) {
       w.queue.pop_front();
     }
     task();
+    // Continuations the task issued (and theirs, in turn) run now, before
+    // the next queued read or message.
+    while (!w.continuations.empty()) {
+      task = std::move(w.continuations.front());
+      w.continuations.pop_front();
+      task();
+    }
   }
 }
 
@@ -150,14 +165,21 @@ void ThreadExecutor::set_message_handler(MessageHandler handler) {
 
 void ThreadExecutor::compute(int node, double cost_seconds, Task done) {
   (void)cost_seconds;  // real work costs real time on this executor
-  post(node, [this, done = std::move(done)]() {
+  Task continuation = [this, done = std::move(done)]() {
     // Injected per-tile reduction failure: record it (failing the run
     // after completion) but still run the continuation so the engine's
     // phase accounting stays balanced.
     const Status injected = fault::faults().evaluate("runtime.compute");
     if (!injected.ok()) record_run_error(injected);
     done();
-  });
+  };
+  assert(node >= 0 && node < num_nodes());
+  Worker& w = *workers_[static_cast<size_t>(node)];
+  if (tl_worker == &w) {
+    w.continuations.push_back(std::move(continuation));
+  } else {
+    post(node, std::move(continuation));
+  }
 }
 
 void ThreadExecutor::barrier(int node, Task done) {

@@ -1,11 +1,17 @@
 // Thread-backed executor.
 //
-// One real thread per simulated back-end node, each draining a FIFO task
-// queue; send() enqueues delivery on the destination node's queue, so the
-// distributed-memory discipline (no shared state, message passing only)
-// is preserved even though everything lives in one process.  Used to
-// validate the engine and strategies with real payloads and real
-// aggregation arithmetic.
+// One real thread per simulated back-end node.  Each node drains two FIFO
+// queues: a locked task queue that post(), read(), write(), send() and
+// the synchronisation releases feed from any thread, and an unlocked
+// continuation queue that only compute() calls made on the node's own
+// thread feed.  After every task the node runs its pending continuations
+// before it takes the next task, so a chunk is reduced right after its
+// read completes, while the payload is in cache — the order the
+// simulator models (paper section 2.4).  send() enqueues delivery on the
+// destination node's task queue, so the distributed-memory discipline
+// (no shared state, message passing only) is preserved even though
+// everything lives in one process.  Used to validate the engine and
+// strategies with real payloads and real aggregation arithmetic.
 //
 // Lifecycle: the node threads are spawned once in the constructor and
 // live until destruction.  run() may be called repeatedly on the same
@@ -91,6 +97,9 @@ class ThreadExecutor : public Executor {
     std::condition_variable cv;
     std::deque<Task> queue;
     bool stop = false;
+    /// compute() continuations issued on this node's own thread.  Only
+    /// that thread touches it, so it takes no lock.
+    std::deque<Task> continuations;
   };
 
   void worker_loop(int node);

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/fault.hpp"
 #include "runtime/sim_executor.hpp"
 #include "runtime/thread_executor.hpp"
 #include "sim/cluster.hpp"
@@ -265,6 +270,45 @@ TEST_P(ExecutorContractTest, WindowSyncFirstEpochReleasesImmediately) {
   EXPECT_EQ(released.load(), 3);
 }
 
+TEST_P(ExecutorContractTest, ComputeFromReadCallbackRunsBeforeNextRead) {
+  // A node issues all its reads at once and reduces each in a compute()
+  // from the read's callback: every reduction must run right after its
+  // own read, before the next read is delivered.
+  constexpr int kReads = 6;
+  auto h = make_harness(GetParam(), 2);
+  for (int k = 0; k < kReads; ++k) {
+    ChunkMeta meta;
+    meta.id = {0, static_cast<std::uint32_t>(k)};
+    meta.disk = 0;
+    meta.bytes = 8;
+    h.store->put(Chunk(meta, std::vector<std::byte>(8, std::byte{1})));
+  }
+  std::vector<std::string> order;  // touched only in node 0's context
+  h.executor->run([&](int node) {
+    if (node != 0) {
+      h.executor->finish(node);
+      return;
+    }
+    for (int k = 0; k < kReads; ++k) {
+      h.executor->read(0, 0, {0, static_cast<std::uint32_t>(k)}, 8,
+                       [&, k](std::optional<Chunk> chunk) {
+                         EXPECT_TRUE(chunk.has_value());
+                         order.push_back("read" + std::to_string(k));
+                         h.executor->compute(0, 0.0, [&, k]() {
+                           order.push_back("reduce" + std::to_string(k));
+                           if (k == kReads - 1) h.executor->finish(0);
+                         });
+                       });
+    }
+  });
+  std::vector<std::string> expected;
+  for (int k = 0; k < kReads; ++k) {
+    expected.push_back("read" + std::to_string(k));
+    expected.push_back("reduce" + std::to_string(k));
+  }
+  EXPECT_EQ(order, expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(Substrates, ExecutorContractTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Simulated" : "Threads";
@@ -387,7 +431,7 @@ TEST(SimExecutor, ConcurrentReadsSerializeOnOneDisk) {
   const double elapsed = exec.run([&](int node) {
     exec.read(node, 0, {0, 0}, 1'000'000,
               [&](std::optional<Chunk>) { done.push_back(exec.now_seconds()); });
-    exec.read(node, 0, {0, 1}, 1'000'000, [&](std::optional<Chunk>) {
+    exec.read(node, 0, {0, 1}, 1'000'000, [&, node](std::optional<Chunk>) {
       done.push_back(exec.now_seconds());
       exec.finish(node);
     });
@@ -406,7 +450,7 @@ TEST(SimExecutor, TwoDisksReadInParallel) {
   SimExecutor exec(&cluster, nullptr);
   std::atomic<int> pending{2};
   const double elapsed = exec.run([&](int node) {
-    auto done = [&](std::optional<Chunk>) {
+    auto done = [&, node](std::optional<Chunk>) {
       if (--pending == 0) exec.finish(node);
     };
     exec.read(node, 0, {0, 0}, 1'000'000, done);
@@ -458,6 +502,95 @@ TEST(SimExecutor, DeadlockDetected) {
                  if (node == 0) exec.finish(0);
                }),
                std::logic_error);
+}
+
+// --------------------- thread executor continuations -------------------
+
+TEST(ThreadExecutorOrdering, NestedComputesRunBeforeQueuedTasks) {
+  // Continuations issued by continuations still drain, in issue order,
+  // before a task that was already queued on the node.
+  ThreadExecutor exec(1, 1, nullptr);
+  std::vector<std::string> order;
+  exec.run([&](int node) {
+    exec.post(node, [&, node]() {
+      order.push_back("queued");
+      exec.finish(node);
+    });
+    exec.compute(node, 0.0, [&, node]() {
+      order.push_back("c0");
+      exec.compute(node, 0.0, [&]() { order.push_back("c0.0"); });
+    });
+    exec.compute(node, 0.0, [&]() { order.push_back("c1"); });
+  });
+  EXPECT_EQ(order, (std::vector<std::string>{"c0", "c1", "c0.0", "queued"}));
+}
+
+TEST(ThreadExecutorOrdering, ComputeFromAnotherNodeQueuesBehindPendingTasks) {
+  ThreadExecutor exec(2, 1, nullptr);
+  std::promise<void> posted, issued;
+  std::shared_future<void> posted_f = posted.get_future().share();
+  std::shared_future<void> issued_f = issued.get_future().share();
+  std::vector<std::string> order;  // touched only on node 0's thread
+  std::thread::id node0_thread, compute_thread;
+  exec.run([&](int node) {
+    if (node == 0) {
+      node0_thread = std::this_thread::get_id();
+      exec.post(0, [&]() { order.push_back("task0"); });
+      exec.post(0, [&]() { order.push_back("task1"); });
+      posted.set_value();
+      // Hold node 0 until node 1 has issued its compute, so both tasks
+      // are still pending when it arrives.
+      issued_f.wait();
+      return;
+    }
+    posted_f.wait();
+    exec.compute(0, 0.0, [&]() {
+      compute_thread = std::this_thread::get_id();
+      order.push_back("remote_compute");
+      exec.finish(0);
+    });
+    issued.set_value();
+    exec.finish(1);
+  });
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"task0", "task1", "remote_compute"}));
+  EXPECT_EQ(compute_thread, node0_thread);
+}
+
+TEST(ThreadExecutorOrdering, ComputeFaultPointFiresOncePerContinuation) {
+  // Node-local and cross-node continuations alike evaluate
+  // runtime.compute exactly once each; every continuation still runs,
+  // and run() rethrows the injected error once both nodes finished.
+  ThreadExecutor exec(2, 1, nullptr);
+  fault::ScopedFaultPlan plan(/*seed=*/17);
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kExecFailed;
+  plan.arm("runtime.compute", spec);
+  std::atomic<int> ran{0};
+  // Node 0 finishes after the last of its four continuations, whichever
+  // arrives last: the innermost local one or the one from node 1.
+  auto ran_one = [&]() {
+    if (++ran == 4) exec.finish(0);
+  };
+  EXPECT_THROW(exec.run([&](int node) {
+                 if (node == 1) {
+                   exec.compute(0, 0.0, ran_one);
+                   exec.finish(1);
+                   return;
+                 }
+                 exec.compute(0, 0.0, [&]() {
+                   ran_one();
+                   exec.compute(0, 0.0, [&]() {
+                     ran_one();
+                     exec.compute(0, 0.0, ran_one);
+                   });
+                 });
+               }),
+               StatusError);
+  EXPECT_EQ(ran.load(), 4);
+  const fault::PointStats stats = fault::faults().stats("runtime.compute");
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.fires, 4u);
 }
 
 }  // namespace

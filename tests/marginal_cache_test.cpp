@@ -8,6 +8,7 @@
 // .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -528,18 +529,27 @@ TEST(MarginalServing, SelectionTimedApartFromPlanningOnEveryPath) {
   auto count = [](const char* name) {
     return obs::metrics().histogram(name).snapshot().count;
   };
+  // One sample per executed query in each of the engine's phase series;
+  // here every planned query executes.
+  const std::array<const char*, 4> phases = {"exec.phase_init_s", "exec.phase_lr_s",
+                                             "exec.phase_gc_s", "exec.phase_oh_s"};
   auto expect_observed = [&](Repository& repo, const Query& q, std::uint64_t selects,
                              std::uint64_t plans) {
     const std::uint64_t select0 = count("submit.select_s");
     const std::uint64_t plan0 = count("submit.plan_s");
+    std::array<std::uint64_t, 4> phase0{};
+    for (std::size_t k = 0; k < phases.size(); ++k) phase0[k] = count(phases[k]);
     repo.submit(q);
     EXPECT_EQ(count("submit.select_s") - select0, selects);
     EXPECT_EQ(count("submit.plan_s") - plan0, plans);
+    for (std::size_t k = 0; k < phases.size(); ++k) {
+      EXPECT_EQ(count(phases[k]) - phase0[k], plans) << phases[k];
+    }
   };
   Fixture cached;
   const Query q = window(cached.in, cached.out, 0.0, 0.999);
   expect_observed(cached.repo, q, 1, 1);  // consult path, all misses
-  expect_observed(cached.repo, q, 1, 0);  // fully served: selected, never planned
+  expect_observed(cached.repo, q, 1, 0);  // fully served: selected, never planned or run
   Fixture uncached(marginal_config(/*marginal_bytes=*/0));
   expect_observed(uncached.repo, window(uncached.in, uncached.out, 0.0, 0.999), 1, 1);
 }
