@@ -318,78 +318,6 @@ OverlapResult run_overlap(const Args& args, const std::filesystem::path& base) {
   return r;
 }
 
-struct BatchedResult {
-  int queries = 0;
-  int rounds = 0;
-  double serial_qps = 0.0;
-  double batched_qps = 0.0;
-  std::uint64_t serial_cold_reads = 0;
-  std::uint64_t batched_cold_reads = 0;
-  std::uint64_t shared_hits = 0;
-};
-
-// Batched vs serial submission of the same gang-able workload: eight
-// overlapping range queries on one dataset, chunk cache disabled so
-// every backing-store fetch is a cold read.  Serial pays the full
-// per-query chunk_reads each time; submit_batch reads each unique chunk
-// once per round and fans it out (gang_cold_reads / gang_shared_hits).
-BatchedResult run_batched(const Args& args, const std::filesystem::path& dir) {
-  RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
-  cfg.num_nodes = args.nodes;
-  cfg.memory_per_node = 4ull << 20;
-  cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
-  cfg.chunk_cache_bytes_per_node = 0;  // isolate batch sharing from the caches
-  cfg.marginal_cache_bytes = 0;
-  Repository repo(cfg);
-  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), make_inputs());
-  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), make_outputs());
-
-  // Eight sliding windows over x, full extent in y: neighbours overlap in
-  // roughly two thirds of their input chunks.
-  std::vector<adr::SubmitRequest> batch;
-  for (int i = 0; i < 8; ++i) {
-    adr::SubmitRequest req;
-    req.query.input_dataset = in;
-    req.query.output_dataset = out;
-    const double x0 = 0.08 * i;
-    req.query.range = Rect(Point{x0, 0.0}, Point{std::min(x0 + 0.35, 0.999), 0.999});
-    req.query.aggregation = "sum-count-max";
-    req.query.delivery = adr::OutputDelivery::kReturnToClient;
-    batch.push_back(req);
-  }
-
-  BatchedResult r;
-  r.queries = static_cast<int>(batch.size());
-  r.rounds = std::max(1, args.iters / 4);
-
-  auto t0 = std::chrono::steady_clock::now();
-  for (int round = 0; round < r.rounds; ++round) {
-    for (const auto& req : batch) {
-      const QueryResult sr = repo.submit(req.query);
-      r.serial_cold_reads += sr.chunk_reads;
-    }
-  }
-  r.serial_qps = r.rounds * batch.size() / seconds_since(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  for (int round = 0; round < r.rounds; ++round) {
-    const auto outcomes = repo.submit_batch(batch);
-    for (const auto& o : outcomes) {
-      if (!o.ok()) {
-        std::cerr << "bench: batched query failed: " << o.status.to_string()
-                  << "\n";
-        std::exit(1);
-      }
-      r.batched_cold_reads += o.result.gang_cold_reads;
-      r.shared_hits += o.result.gang_shared_hits;
-    }
-  }
-  r.batched_qps = r.rounds * batch.size() / seconds_since(t0);
-  return r;
-}
-
 struct TelemetryOverheadResult {
   double baseline_qps = 0.0;
   double telemetry_qps = 0.0;
@@ -461,7 +389,7 @@ struct OverloadResult {
 
 // Sustained-overload mode: measure the warm serial capacity, then offer
 // the submission service twice that rate in deadline-carrying queries
-// (one worker, gangs off, so "capacity" means what it measured).  The
+// (one worker, so "capacity" means what it measured).  The
 // Qos contract under test: excess work is shed with the typed
 // kDeadlineExceeded — never silently queued — so the latency of what IS
 // admitted stays bounded by the deadline budget plus execution slack
@@ -507,9 +435,6 @@ OverloadResult run_overload(const Args& args, const std::filesystem::path& dir) 
                                        target_qps)}));
 
   adr::QuerySubmissionService service(repo);
-  adr::QuerySubmissionService::GangPolicy no_gangs;
-  no_gangs.enabled = false;  // gangs would raise capacity mid-measurement
-  service.set_gang_policy(no_gangs);
 
   std::mutex done_mutex;
   std::unordered_map<std::uint64_t, std::chrono::steady_clock::time_point> done_at;
@@ -690,12 +615,6 @@ int main(int argc, char** argv) {
       results.push_back(run_config(args, reuse, cache, dir));
     }
   }
-  BatchedResult batched;
-  {
-    const auto dir = base / "batched";
-    std::filesystem::create_directories(dir);
-    batched = run_batched(args, dir);
-  }
   const OverlapResult overlap = run_overlap(args, base);
   TelemetryOverheadResult telemetry;
   {
@@ -722,14 +641,6 @@ int main(int argc, char** argv) {
   std::cout << "submit throughput (" << args.iters << " warm iters, "
             << args.nodes << " nodes, file-backed store)\n";
   table.print(std::cout);
-
-  std::cout << "batched vs serial (" << batched.queries
-            << " overlapping queries x " << batched.rounds
-            << " rounds, cache off): serial " << adr::fmt(batched.serial_qps, 2)
-            << " qps / " << batched.serial_cold_reads << " cold reads, batched "
-            << adr::fmt(batched.batched_qps, 2) << " qps / "
-            << batched.batched_cold_reads << " cold reads ("
-            << batched.shared_hits << " shared hits)\n";
 
   const std::uint64_t overlap_lookups =
       overlap.marginal.warm_marginal_hits + overlap.marginal.warm_marginal_misses;
@@ -776,14 +687,7 @@ int main(int argc, char** argv) {
          << ", \"executors_created\": " << r.executors_created << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"batched\": {\"queries\": " << batched.queries
-       << ", \"rounds\": " << batched.rounds
-       << ", \"serial_qps\": " << batched.serial_qps
-       << ", \"batched_qps\": " << batched.batched_qps
-       << ", \"batched_over_serial\": " << batched.batched_qps / batched.serial_qps
-       << ", \"serial_cold_reads\": " << batched.serial_cold_reads
-       << ", \"batched_cold_reads\": " << batched.batched_cold_reads
-       << ", \"shared_hits\": " << batched.shared_hits << "},\n";
+  json << "  ],\n";
   auto overlap_json = [&](const char* name, const OverlapConfigResult& c) {
     json << "    \"" << name << "\": {\"cold_qps\": " << c.cold_qps
          << ", \"warm_qps\": " << c.warm_qps
@@ -816,13 +720,6 @@ int main(int argc, char** argv) {
   if (full.warm_qps < 1.5 * full.cold_qps) {
     std::cerr << "bench: warm qps " << full.warm_qps << " < 1.5x cold "
               << full.cold_qps << "\n";
-    return 1;
-  }
-  // And batched submission of overlapping queries must do strictly fewer
-  // cold reads than the same workload submitted serially.
-  if (batched.batched_cold_reads >= batched.serial_cold_reads) {
-    std::cerr << "bench: batched cold reads " << batched.batched_cold_reads
-              << " not below serial " << batched.serial_cold_reads << "\n";
     return 1;
   }
   // Marginal-cache acceptance: warm throughput on the overlapping-range

@@ -5,7 +5,7 @@
 // distinguish a saturated server (retry later) from a malformed query
 // (fix and resubmit) from a planner rejection (pick another strategy)
 // without parsing prose.  Codes are stable wire values (encoded as u16
-// in protocol v4 result frames); append new codes, never renumber.
+// in result frames); append new codes, never renumber.
 #pragma once
 
 #include <cstdint>

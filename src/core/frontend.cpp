@@ -64,7 +64,6 @@ struct SchedulerMetrics {
   obs::Gauge& queue_depth;
   obs::Gauge& in_flight;
   obs::Histogram& queue_wait;
-  obs::Counter& gangs_formed;
 };
 
 SchedulerMetrics& scheduler_metrics() {
@@ -75,32 +74,7 @@ SchedulerMetrics& scheduler_metrics() {
                             obs::metrics().counter("scheduler.shed"),
                             obs::metrics().gauge("scheduler.queue_depth"),
                             obs::metrics().gauge("scheduler.in_flight"),
-                            obs::metrics().histogram("scheduler.queue_wait_s"),
-                            obs::metrics().counter("scheduler.gangs_formed")};
-  return m;
-}
-
-// Batch / gang execution series (catalog: docs/batching.md).
-struct BatchMetrics {
-  obs::Counter& gangs;
-  obs::Counter& members;
-  obs::Counter& shared_hits;
-  obs::Counter& cold_reads;
-  obs::Counter& saved_reads;
-  obs::Counter& cap_rejections;
-  obs::Histogram& gang_size;
-};
-
-BatchMetrics& batch_metrics() {
-  static BatchMetrics m{
-      obs::metrics().counter("batch.gangs"),
-      obs::metrics().counter("batch.members"),
-      obs::metrics().counter("batch.shared_hits"),
-      obs::metrics().counter("batch.cold_reads"),
-      obs::metrics().counter("batch.saved_reads"),
-      obs::metrics().counter("batch.cap_rejections"),
-      obs::metrics().histogram("batch.gang_size",
-                               {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0})};
+                            obs::metrics().histogram("scheduler.queue_wait_s")};
   return m;
 }
 
@@ -156,7 +130,6 @@ void record_submit_success(QueryResult& result, double elapsed_s) {
   result.cost.aggregate_pairs = result.stats.total_lr_pairs();
   result.cost.exec_wall_s = result.stats.total_s;
   result.cost.thread_cpu_s = result.stats.thread_cpu_s;
-  result.cost.gang_size = result.gang_size;
   result.cost.queue_wait_s = obs::cost_queue_wait();
   CostMetrics& c = cost_metrics();
   c.queries.add();
@@ -561,7 +534,6 @@ QueryResult Repository::execute_planned_locked(const Query& query,
                                                PlannedQuery&& planned,
                                                const ComputeCosts& costs,
                                                const ExecOptions& exec_options,
-                                               Executor* gang_executor,
                                                MarginalConsult* marginal) {
   obs::QueryTracer& tr = obs::tracer();
   const bool tracing = tr.enabled();
@@ -652,13 +624,7 @@ QueryResult Repository::execute_planned_locked(const Query& query,
     result.cost.cold_bytes = result.stats.total_bytes_read();
   } else {
     const ChunkCacheStats cache_before = cache_ ? cache_->stats() : ChunkCacheStats{};
-    if (gang_executor != nullptr) {
-      // Batch path: the gang's shared executor (bound to its shared-scan
-      // buffer) serves every member in turn.
-      result.stats = execute_query(*gang_executor, planned, prepared.all_inputs,
-                                   *prepared.output, prepared.op, costs,
-                                   config_.disks_per_node, options);
-    } else if (config_.reuse_executor) {
+    if (config_.reuse_executor) {
       // Exclusive lease on a warm executor; released (kept resident)
       // when the lease leaves scope.
       ThreadExecutorPool::Lease lease = thread_pool().acquire();
@@ -772,178 +738,7 @@ QueryResult Repository::submit_locked(const Query& query, const ComputeCosts& co
   PlannedQuery planned =
       plan_prepared(prepared, std::move(consult.reduced));
   return execute_planned_locked(query, prepared, std::move(planned), costs, exec_options,
-                                nullptr, consult.active ? &consult : nullptr);
-}
-
-std::vector<SubmitOutcome> Repository::submit_batch(
-    const std::vector<SubmitRequest>& batch) {
-  std::vector<SubmitOutcome> outcomes(batch.size());
-  if (batch.empty()) return outcomes;
-  std::shared_lock lock(catalog_mutex_);
-
-  // Group members by input-dataset signature, preserving submission
-  // order within each group.  Only same-input groups can share a scan.
-  std::map<std::vector<std::uint32_t>, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    std::vector<std::uint32_t> key = {batch[i].query.input_dataset};
-    key.insert(key.end(), batch[i].query.extra_input_datasets.begin(),
-               batch[i].query.extra_input_datasets.end());
-    groups[std::move(key)].push_back(i);
-  }
-
-  const bool can_gang = config_.backend == RepositoryConfig::Backend::kThreads &&
-                        config_.batch_scan_bytes > 0;
-  for (const auto& [key, indices] : groups) {
-    if (can_gang && indices.size() >= 2) {
-      run_gang_locked(batch, indices, outcomes);
-    } else {
-      for (std::size_t i : indices) {
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-          outcomes[i].result =
-              submit_locked(batch[i].query, batch[i].costs, batch[i].options);
-          record_submit_success(outcomes[i].result, seconds_since(t0));
-        } catch (const std::exception& e) {
-          submit_metrics().errors.add();
-          outcomes[i].status = status_from_exception(e);
-        }
-      }
-    }
-  }
-  return outcomes;
-}
-
-void Repository::run_gang_locked(const std::vector<SubmitRequest>& batch,
-                                 const std::vector<std::size_t>& indices,
-                                 std::vector<SubmitOutcome>& outcomes) {
-  struct Member {
-    std::size_t index;  // into batch / outcomes
-    Prepared prepared;
-    MarginalConsult consult;
-    PlannedQuery planned;
-    std::chrono::steady_clock::time_point t0;
-  };
-  std::vector<Member> members;
-  members.reserve(indices.size());
-  for (std::size_t i : indices) {
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      Prepared prepared = prepare_locked(batch[i].query, batch[i].costs);
-      MarginalConsult consult = consult_marginals_locked(prepared);
-      if (consult.fully_cached) {
-        // Served entirely from cached partials: finalize now and keep it
-        // out of the gang's shared plan.
-        outcomes[i].result =
-            finalize_from_cache_locked(batch[i].query, prepared, consult,
-                                       batch[i].options);
-        record_submit_success(outcomes[i].result, seconds_since(t0));
-        continue;
-      }
-      PlannedQuery planned =
-          plan_prepared(prepared, std::move(consult.reduced));
-      members.push_back(
-          Member{i, std::move(prepared), std::move(consult), std::move(planned), t0});
-    } catch (const std::exception& e) {
-      // One member failing to plan does not sink its gang.
-      submit_metrics().errors.add();
-      outcomes[i].status = status_from_exception(e);
-    }
-  }
-  if (members.empty()) return;
-
-  obs::QueryTracer& tr = obs::tracer();
-  const bool tracing = tr.enabled();
-  const std::uint64_t qid = obs::trace_query();
-  const std::uint64_t gang_ts_us = tracing ? tr.now_us() : 0;
-
-  // Shared-scan schedule: per lockstep tile, the union of member reads.
-  std::vector<const PlannedQuery*> ptrs;
-  std::vector<std::vector<const Dataset*>> member_inputs;
-  ptrs.reserve(members.size());
-  member_inputs.reserve(members.size());
-  for (const Member& m : members) {
-    ptrs.push_back(&m.planned);
-    member_inputs.push_back(m.prepared.all_inputs);
-  }
-  const BatchSharedPlan shared = build_batch_shared_plan(ptrs, member_inputs);
-
-  SharedScanStore scan(active_store(), config_.batch_scan_bytes);
-  for (const BatchTile& tile : shared.tiles) {
-    for (const BatchSharedRead& read : tile.reads) {
-      scan.add_planned_uses(read.id, static_cast<std::uint32_t>(read.members.size()));
-    }
-  }
-
-  // Members execute sequentially (submission order) on one executor bound
-  // to the shared-scan buffer: a chunk several members need is fetched
-  // from the farm once and stays resident between its first and last
-  // reader.  Per-member results are attributed individually.
-  auto execute_members = [&](Executor& exec) {
-    for (Member& m : members) {
-      const SharedScanStats before = scan.stats();
-      try {
-        QueryResult r = execute_planned_locked(
-            batch[m.index].query, m.prepared, std::move(m.planned),
-            batch[m.index].costs, batch[m.index].options, &exec,
-            m.consult.active ? &m.consult : nullptr);
-        const SharedScanStats after = scan.stats();
-        r.gang_size = static_cast<std::uint32_t>(members.size());
-        r.gang_shared_hits = after.shared_hits - before.shared_hits;
-        r.gang_cold_reads = after.cold_fetches - before.cold_fetches;
-        record_submit_success(r, seconds_since(m.t0));
-        outcomes[m.index].result = std::move(r);
-      } catch (const std::exception& e) {
-        submit_metrics().errors.add();
-        outcomes[m.index].status = status_from_exception(e);
-      }
-    }
-  };
-
-  if (config_.reuse_executor) {
-    ThreadExecutorPool::Lease lease = thread_pool().acquire();
-    // Point the warm executor at the gang's scan buffer for the gang's
-    // lifetime; restore the farm before the lease returns to the pool.
-    struct StoreRestore {
-      ThreadExecutor* exec;
-      ChunkStore* farm;
-      ~StoreRestore() { exec->set_store(farm); }
-    } restore{&*lease, lease->store()};
-    lease->set_store(&scan);
-    execute_members(*lease);
-  } else {
-    ThreadExecutor executor(config_.num_nodes, config_.disks_per_node, &scan);
-    execute_members(executor);
-  }
-
-  const SharedScanStats final_stats = scan.stats();
-  BatchMetrics& bm = batch_metrics();
-  bm.gangs.add();
-  bm.members.add(members.size());
-  bm.gang_size.observe(static_cast<double>(members.size()));
-  bm.shared_hits.add(final_stats.shared_hits);
-  bm.cold_reads.add(final_stats.cold_fetches);
-  bm.saved_reads.add(shared.saved_reads());
-  bm.cap_rejections.add(final_stats.cap_rejections);
-  if (tracing) {
-    tr.record({"gang", "serving", qid, gang_ts_us, tr.now_us() - gang_ts_us,
-               static_cast<std::uint32_t>(qid), -1});
-  }
-}
-
-std::vector<QueryResult> Repository::submit_all(const std::vector<Query>& queries,
-                                                const ComputeCosts& costs,
-                                                const ExecOptions& exec_options) {
-  std::vector<SubmitRequest> batch;
-  batch.reserve(queries.size());
-  for (const Query& q : queries) batch.push_back(SubmitRequest{q, costs, exec_options});
-  std::vector<SubmitOutcome> outcomes = submit_batch(batch);
-  std::vector<QueryResult> results;
-  results.reserve(outcomes.size());
-  for (SubmitOutcome& o : outcomes) {
-    if (!o.status.ok()) throw StatusError(o.status.code, o.status.message);
-    results.push_back(std::move(o.result));
-  }
-  return results;
+                                consult.active ? &consult : nullptr);
 }
 
 QuerySubmissionService::~QuerySubmissionService() {
@@ -980,24 +775,7 @@ void QuerySubmissionService::stop() {
 
 QuerySubmissionService::QuerySubmissionService(Repository& repository,
                                                const RuntimeConfig& runtime)
-    : QuerySubmissionService((runtime.check(), repository), runtime.max_pending) {
-  gang_policy_ = runtime.gang;
-}
-
-void QuerySubmissionService::set_gang_policy(const GangPolicy& policy) {
-  std::lock_guard lock(mutex_);
-  gang_policy_ = policy;
-}
-
-void QuerySubmissionService::set_gang_window(std::chrono::microseconds window) {
-  std::lock_guard lock(mutex_);
-  gang_policy_.window = window;
-}
-
-QuerySubmissionService::GangPolicy QuerySubmissionService::gang_policy() const {
-  std::lock_guard lock(mutex_);
-  return gang_policy_;
-}
+    : QuerySubmissionService((runtime.check(), repository), runtime.max_pending) {}
 
 void QuerySubmissionService::set_completion_callback(
     std::function<void(std::uint64_t)> cb) {
@@ -1132,42 +910,6 @@ bool QuerySubmissionService::pop_runnable(Pending& out) {
   return true;
 }
 
-void QuerySubmissionService::form_gang_locked(std::vector<Pending>& gang) {
-  // Copied, not referenced: push_back below may reallocate `gang`.
-  const Query leader = gang.front().query;
-  // Clients whose earliest remaining query was examined but not taken:
-  // their later queries must not overtake it into the gang (lane FIFO).
-  std::unordered_set<std::uint64_t> blocked;
-  for (auto it = queue_.begin();
-       it != queue_.end() && gang.size() < gang_policy_.max_gang;) {
-    if (busy_clients_.contains(it->client) || blocked.contains(it->client)) {
-      blocked.insert(it->client);
-      ++it;
-      continue;
-    }
-    const bool compatible =
-        it->query.input_dataset == leader.input_dataset &&
-        it->query.extra_input_datasets == leader.extra_input_datasets &&
-        it->query.strategy == leader.strategy &&
-        it->query.aggregation == leader.aggregation &&
-        it->query.map_function == leader.map_function &&
-        it->query.range.valid() && leader.range.valid() &&
-        it->query.range.intersects(leader.range);
-    if (!compatible) {
-      blocked.insert(it->client);
-      ++it;
-      continue;
-    }
-    busy_clients_.insert(it->client);
-    running_.insert(it->ticket);
-    ++in_flight_;
-    scheduler_metrics().queue_depth.add(-1);
-    scheduler_metrics().in_flight.add(1);
-    gang.push_back(std::move(*it));
-    it = queue_.erase(it);
-  }
-}
-
 void QuerySubmissionService::finish_locked(std::uint64_t ticket, std::uint64_t client,
                                            Outcome&& outcome) {
   if (outcome.ok()) {
@@ -1279,127 +1021,16 @@ void QuerySubmissionService::run_one(Pending&& p) {
   if (completion_cb_) completion_cb_(p.ticket);
 }
 
-void QuerySubmissionService::run_gang(std::vector<Pending>&& gang) {
-  // Shed expired members before the gang commits to execution; a gang
-  // reduced below two members falls back to the serial path.
-  {
-    std::vector<Pending> live;
-    live.reserve(gang.size());
-    for (Pending& p : gang) {
-      if (!maybe_shed(p)) live.push_back(std::move(p));
-    }
-    if (live.empty()) return;
-    if (live.size() == 1) {
-      run_one(std::move(live.front()));
-      return;
-    }
-    gang = std::move(live);
-  }
-  obs::QueryTracer& tr = obs::tracer();
-  const bool tracing = tr.enabled();
-  std::vector<SubmitRequest> requests;
-  requests.reserve(gang.size());
-  double wait_sum_s = 0.0;
-  for (Pending& p : gang) {
-    const double wait_s = seconds_since(p.enqueued_at);
-    wait_sum_s += wait_s;
-    scheduler_metrics().queue_wait.observe(wait_s);
-    if (tracing) {
-      const std::uint64_t now = tr.now_us();
-      const std::uint64_t ts = std::min(p.enqueued_ts_us, now);
-      tr.record({"queued", "serving", p.ticket, ts, now - ts,
-                 static_cast<std::uint32_t>(p.ticket), -1});
-    }
-    SubmitRequest r;
-    r.query = std::move(p.query);
-    r.costs = p.costs;
-    r.options = p.options;
-    r.options.record_trace = r.options.record_trace || tracing;
-    requests.push_back(std::move(r));
-  }
-  scheduler_metrics().gangs_formed.add();
-  // Spans recorded inside submit_batch attach to the gang leader.  The
-  // gang executes as one unit, so each member's ledger is billed the
-  // mean member wait (a documented approximation — per-member waits are
-  // indistinguishable once the gang runs).
-  obs::set_trace_query(gang.front().ticket);
-  obs::set_cost_queue_wait(gang.empty() ? 0.0
-                                        : wait_sum_s / static_cast<double>(gang.size()));
-  std::vector<SubmitOutcome> outs;
-  bool whole_batch_failed = false;
-  Status batch_status;
-  try {
-    const auto exec_start = std::chrono::steady_clock::now();
-    outs = repository_->submit_batch(requests);
-    // Per-member execution estimate: the gang runs as one unit, so each
-    // member is billed an equal share of the batch wall time.
-    update_ewma_s(exec_ewma_bits_,
-                  seconds_since(exec_start) / static_cast<double>(requests.size()));
-  } catch (const std::exception& e) {
-    whole_batch_failed = true;
-    batch_status = status_from_exception(e);
-    ADR_WARN("submission service: gang of " << gang.size() << " failed: " << e.what());
-  }
-  obs::set_trace_query(0);
-  obs::set_cost_queue_wait(0.0);
-
-  {
-    std::lock_guard lock(mutex_);
-    for (std::size_t i = 0; i < gang.size(); ++i) {
-      Outcome out;
-      if (whole_batch_failed) {
-        out.status = batch_status;
-      } else if (i < outs.size()) {
-        out.status = std::move(outs[i].status);
-        out.result = std::move(outs[i].result);
-      } else {
-        out.status = Status::make(StatusCode::kInternal, "batch produced no outcome");
-      }
-      scheduler_metrics().in_flight.add(-1);
-      (out.ok() ? scheduler_metrics().completed : scheduler_metrics().failed).add();
-      if (!out.ok()) {
-        ADR_WARN("submission service: ticket " << gang[i].ticket
-                                               << " failed: " << out.status.to_string());
-      }
-      finish_locked(gang[i].ticket, gang[i].client, std::move(out));
-    }
-  }
-  work_cv_.notify_all();
-  done_cv_.notify_all();
-  if (completion_cb_) {
-    for (const Pending& p : gang) completion_cb_(p.ticket);
-  }
-}
-
 void QuerySubmissionService::worker_loop() {
   for (;;) {
-    std::vector<Pending> gang;
+    Pending p{};
     {
       std::unique_lock lock(mutex_);
-      Pending p{};
       work_cv_.wait(lock,
                     [&]() { return pop_runnable(p) || (stopping_ && queue_.empty()); });
       if (p.ticket == 0) return;  // stopping and nothing runnable
-      gang.push_back(std::move(p));
-      if (gang_policy_.enabled && gang_policy_.max_gang > 1) {
-        form_gang_locked(gang);
-        if (gang_policy_.window.count() > 0 && gang.size() < gang_policy_.max_gang &&
-            !stopping_) {
-          // Short formation window: wait for near-simultaneous arrivals
-          // to join before dispatching.
-          const auto deadline = std::chrono::steady_clock::now() + gang_policy_.window;
-          while (gang.size() < gang_policy_.max_gang && !stopping_ &&
-                 work_cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-            form_gang_locked(gang);
-          }
-        }
-      }
     }
-    if (gang.size() == 1) {
-      run_one(std::move(gang.front()));
-    } else {
-      run_gang(std::move(gang));
-    }
+    run_one(std::move(p));
   }
 }
 
@@ -1430,17 +1061,6 @@ std::size_t QuerySubmissionService::process_all() {
   }
 }
 
-const QueryResult* QuerySubmissionService::wait(std::uint64_t ticket) {
-  std::unique_lock lock(mutex_);
-  if (ticket == 0 || ticket >= next_ticket_) return nullptr;
-  done_cv_.wait(lock, [&]() {
-    return results_.contains(ticket) || errors_.contains(ticket) ||
-           !ticket_pending_locked(ticket);  // e.g. drained by take()
-  });
-  auto it = results_.find(ticket);
-  return it == results_.end() ? nullptr : &it->second;
-}
-
 std::size_t QuerySubmissionService::drain() {
   std::unique_lock lock(mutex_);
   const std::uint64_t before = completed_;
@@ -1451,18 +1071,6 @@ std::size_t QuerySubmissionService::drain() {
 std::size_t QuerySubmissionService::pending() const {
   std::lock_guard lock(mutex_);
   return queue_.size() + in_flight_;
-}
-
-const QueryResult* QuerySubmissionService::result(std::uint64_t ticket) const {
-  std::lock_guard lock(mutex_);
-  auto it = results_.find(ticket);
-  return it == results_.end() ? nullptr : &it->second;
-}
-
-const std::string* QuerySubmissionService::error(std::uint64_t ticket) const {
-  std::lock_guard lock(mutex_);
-  auto it = errors_.find(ticket);
-  return it == errors_.end() ? nullptr : &it->second.message;
 }
 
 std::optional<Chunk> Repository::read_chunk(std::uint32_t dataset_id,

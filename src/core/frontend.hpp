@@ -19,15 +19,6 @@
 //   q.range = ...; q.aggregation = "sum-count-max";
 //   q.strategy = adr::StrategyKind::kAuto;
 //   adr::QueryResult r = repo.submit(q);
-//
-// Batch submission (the paper's planning service handles "a set of
-// queries"): submit_batch plans and executes a whole set, forming gangs
-// of queries over the same input dataset so shared input chunks are
-// fetched once per gang instead of once per query (see docs/batching.md):
-//
-//   std::vector<adr::SubmitRequest> batch = {{q1}, {q2}, {q3}};
-//   std::vector<adr::SubmitOutcome> outs = repo.submit_batch(batch);
-//   if (outs[0].status.ok()) use(outs[0].result);
 #pragma once
 
 #include <atomic>
@@ -54,7 +45,6 @@
 #include "core/attribute_space.hpp"
 #include "core/exec/exec_stats.hpp"
 #include "core/exec/query_executor.hpp"
-#include "core/planner/batch.hpp"
 #include "core/planner/planner.hpp"
 #include "core/query.hpp"
 #include "obs/query_cost.hpp"
@@ -65,7 +55,6 @@
 #include "storage/decluster.hpp"
 #include "storage/disk_store.hpp"
 #include "storage/marginal_cache.hpp"
-#include "storage/shared_scan.hpp"
 
 namespace adr {
 
@@ -105,11 +94,6 @@ struct RepositoryConfig {
   /// disks).  0 disables the cache.  The simulated backend never caches:
   /// its I/O costs are modelled, not paid.
   std::uint64_t chunk_cache_bytes_per_node = 64ull * 1024 * 1024;
-  /// Byte cap on the gang shared-scan buffer submit_batch retains input
-  /// chunks in while fanning them out to gang members (thread backend;
-  /// see docs/batching.md).  0 disables batch read sharing — gang
-  /// members then execute like serial submits.
-  std::uint64_t batch_scan_bytes = 256ull * 1024 * 1024;
   /// Byte budget for the marginal cache: finalized per-output-chunk
   /// aggregation partials reused across overlapping queries (thread
   /// backend with payloads only; see docs/caching.md).  A query whose
@@ -130,12 +114,6 @@ struct QueryResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  /// Batch execution attribution: the gang this query ran in (1 =
-  /// executed alone), reads served from the gang's shared-scan buffer
-  /// during this query's turn, and backing-store fetches it paid.
-  std::uint32_t gang_size = 1;
-  std::uint64_t gang_shared_hits = 0;
-  std::uint64_t gang_cold_reads = 0;
   /// Marginal-cache attribution: output chunks of this query served
   /// from cached partials vs executed cold (zeros when the cache is
   /// disabled or the query is not cacheable; see docs/caching.md).
@@ -152,23 +130,6 @@ struct QueryResult {
   /// Finalized output chunks, for OutputDelivery::kReturnToClient
   /// (sorted by chunk id).
   std::vector<Chunk> outputs;
-};
-
-/// One entry of a submit_batch call: a query plus its per-query compute
-/// charges and execution options.
-struct SubmitRequest {
-  Query query;
-  ComputeCosts costs;
-  ExecOptions options;
-};
-
-/// Structured per-query outcome of a batch submission: a typed status
-/// (never throws per member — one malformed query cannot sink its gang)
-/// plus the result when status.ok().
-struct SubmitOutcome {
-  Status status;
-  QueryResult result;
-  bool ok() const { return status.ok(); }
 };
 
 /// Thread safety: Repository serves concurrent clients.  The dataset
@@ -189,7 +150,7 @@ struct SubmitOutcome {
 /// Registries (attribute spaces, aggregations, indices) are expected to be
 /// populated before concurrent serving starts; lookups are read-only.
 /// Per-query planner/executor state is entirely stack-local; the leased
-/// executor is exclusive to its query or gang.
+/// executor is exclusive to its query.
 class Repository {
  public:
   explicit Repository(const RepositoryConfig& config);
@@ -246,24 +207,6 @@ class Repository {
   /// `costs` are the per-chunk compute charges for the simulated backend.
   QueryResult submit(const Query& query, const ComputeCosts& costs = {},
                      const ExecOptions& exec_options = {});
-
-  /// Plans and executes a set of queries (the paper's planning service
-  /// handles "a set of queries").  Requests over the same input
-  /// dataset(s) form a *gang*: each member keeps the exact plan, tiling
-  /// and output bytes it would get alone, but the gang executes over a
-  /// shared-scan buffer so an input chunk needed by several members is
-  /// fetched from storage once (thread backend; the simulated backend
-  /// and batch_scan_bytes == 0 execute members independently).  Member
-  /// outcomes are individually attributed and individually fallible —
-  /// outcomes[i] matches batch[i] in order.
-  std::vector<SubmitOutcome> submit_batch(const std::vector<SubmitRequest>& batch);
-
-  /// Convenience wrapper over submit_batch: shared costs/options, throws
-  /// the first member failure (after the whole batch has been attempted)
-  /// and otherwise returns results in submission order.
-  std::vector<QueryResult> submit_all(const std::vector<Query>& queries,
-                                      const ComputeCosts& costs = {},
-                                      const ExecOptions& exec_options = {});
 
   /// Convenience: reads one chunk of a dataset back from the disk farm.
   std::optional<Chunk> read_chunk(std::uint32_t dataset_id, std::uint32_t index) const;
@@ -332,24 +275,17 @@ class Repository {
   /// reduced) selection, metrics + trace spans included; failures become
   /// StatusError{kPlanRejected}.
   PlannedQuery plan_prepared(const Prepared& prepared, QuerySelection&& selection) const;
-  /// Executes a planned query.  `gang_executor` non-null routes
-  /// execution through the gang's shared executor (batch path) instead
-  /// of the pool; per-query attribution is unchanged.  `marginal`
+  /// Executes a planned query on a pool lease (a fresh executor when
+  /// reuse_executor is off, the simulator on kSimulated).  `marginal`
   /// non-null (and active) merges served partials into the delivery,
   /// publishes the executed chunks' partials on success, and fills the
   /// marginal_hits/marginal_misses attribution.
   QueryResult execute_planned_locked(const Query& query, const Prepared& prepared,
                                      PlannedQuery&& planned, const ComputeCosts& costs,
                                      const ExecOptions& exec_options,
-                                     Executor* gang_executor,
                                      MarginalConsult* marginal);
   QueryResult submit_locked(const Query& query, const ComputeCosts& costs,
                             const ExecOptions& exec_options);
-  /// Executes one gang (>= 2 members, thread backend) over a shared-scan
-  /// buffer; writes each member's outcome into outcomes[indices[m]].
-  void run_gang_locked(const std::vector<SubmitRequest>& batch,
-                       const std::vector<std::size_t>& indices,
-                       std::vector<SubmitOutcome>& outcomes);
   ChunkStore& active_store() {
     if (invalidating_store_ != nullptr) return *invalidating_store_;
     return cache_ ? static_cast<ChunkStore&>(*cache_) : *store_;
@@ -402,14 +338,10 @@ class Repository {
 ///    applies back-pressure: it blocks while `max_pending` accepted
 ///    queries are still queued or running.
 ///
-/// Gang formation (worker pool only): a worker that pops a query scans
-/// the queue for more queries over the same input dataset(s) with
-/// overlapping ranges and a compatible strategy, optionally waiting a
-/// short formation window for stragglers, and submits them as one batch
-/// (Repository::submit_batch) so shared input chunks are fetched once.
-/// Lanes stay FIFO: only the earliest runnable query of each client can
-/// join a gang, and an examined-but-unsuitable query blocks its lane's
-/// later queries from overtaking it.  See docs/batching.md.
+/// Either way every query takes one path: the worker that pops it runs
+/// it alone through Repository::submit.  Overlapping queries share
+/// input reads through the repository's chunk and marginal caches, not
+/// by executing together.
 ///
 /// Qos (core/qos.hpp): dispatch picks the highest-priority runnable
 /// lane head (FIFO within each client lane is never reordered), and a
@@ -424,17 +356,13 @@ class Repository {
 /// stop() drains and joins the workers.
 class QuerySubmissionService {
  public:
-  /// Gang formation policy (now adr::GangPolicy in core/runtime_config.hpp;
-  /// this alias keeps the historical nested name compiling).
-  using GangPolicy = adr::GangPolicy;
-
   explicit QuerySubmissionService(Repository& repository,
                                   std::size_t max_pending = 1024)
       : repository_(&repository), max_pending_(max_pending) {}
 
   /// RuntimeConfig overload: validates `runtime` (throws
-  /// StatusError{kInvalidArgument}) and adopts its max_pending and gang
-  /// policy.  start() still takes the worker count — the server decides
+  /// StatusError{kInvalidArgument}) and adopts its max_pending.
+  /// start() still takes the worker count — the server decides
   /// when (and whether) to spin the pool up.
   QuerySubmissionService(Repository& repository, const RuntimeConfig& runtime);
   ~QuerySubmissionService();
@@ -447,14 +375,6 @@ class QuerySubmissionService {
 
   /// Drains accepted work and joins the workers (no-op when not started).
   void stop();
-
-  /// Replaces the gang formation policy (call before start()).
-  void set_gang_policy(const GangPolicy& policy);
-  GangPolicy gang_policy() const;
-
-  /// Replaces only the formation window, safely while workers run (the
-  /// adaptive controller's batching actuator: 0 closes the window).
-  void set_gang_window(std::chrono::microseconds window);
 
   /// Registers a hook invoked once per finished ticket, on the worker
   /// thread that finished it, after the outcome is retrievable via
@@ -487,9 +407,9 @@ class QuerySubmissionService {
   };
 
   /// Blocks until the ticket's query finishes, then removes its outcome
-  /// from the service and returns it.  Unlike the deprecated
-  /// wait()/result() accessors the service retains nothing afterwards,
-  /// so a long-running server's results map cannot grow without bound.
+  /// from the service and returns it.  The service retains nothing
+  /// afterwards, so a long-running server's results map cannot grow
+  /// without bound.
   /// An unknown or already-taken ticket returns a kNotFound outcome
   /// immediately.  Note: a ticket accepted but never dispatched (no
   /// pool running and no process_all() in sight) blocks until someone
@@ -512,25 +432,6 @@ class QuerySubmissionService {
   /// Queued plus in-flight queries.
   std::size_t pending() const;
 
-  /// Blocks until the ticket's query finishes; returns its result, or
-  /// nullptr if the ticket is unknown or its query failed.
-  /// Deprecated: results accumulate in the service for its lifetime —
-  /// use take()/try_take(), which release the slot.
-  [[deprecated("unbounded retention; use take()/try_take()")]]
-  const QueryResult* wait(std::uint64_t ticket);
-
-  /// Result for a ticket, or nullptr if unknown / not yet processed /
-  /// failed.  The pointer stays valid for the service's lifetime.
-  /// Deprecated: unbounded retention — use try_take().
-  [[deprecated("unbounded retention; use take()/try_take()")]]
-  const QueryResult* result(std::uint64_t ticket) const;
-
-  /// Error text for a failed ticket, or nullptr.
-  /// Deprecated: unbounded retention — use take()/try_take(), whose
-  /// Outcome carries the typed Status.
-  [[deprecated("unbounded retention; use take()/try_take()")]]
-  const std::string* error(std::uint64_t ticket) const;
-
  private:
   struct Pending {
     std::uint64_t ticket;
@@ -546,7 +447,6 @@ class QuerySubmissionService {
 
   void worker_loop();
   void run_one(Pending&& p);
-  void run_gang(std::vector<Pending>&& gang);
   // Deadline shed check at dispatch time: true (and the outcome is
   // recorded as kDeadlineExceeded) when the query's Qos says drop on
   // expiry and either the deadline has passed or the execution-latency
@@ -558,10 +458,6 @@ class QuerySubmissionService {
   // breaking ties (all-default priorities reproduce plain FIFO).  Caller
   // holds mutex_; marks the winner's lane busy.
   bool pop_runnable(Pending& out);
-  // Moves queued queries that can join `leader`'s gang out of the queue
-  // (caller holds mutex_); marks their lanes busy.  Respects lane FIFO:
-  // an examined-but-unsuitable query blocks its client's later queries.
-  void form_gang_locked(std::vector<Pending>& gang);
   // Records one finished outcome and frees its lane (caller holds mutex_).
   void finish_locked(std::uint64_t ticket, std::uint64_t client, Outcome&& outcome);
   // True while the ticket is accepted but unfinished: queued or running
@@ -580,7 +476,6 @@ class QuerySubmissionService {
   std::condition_variable done_cv_;  // waiters: a query finished
   std::vector<std::thread> workers_;
   bool stopping_ = false;
-  GangPolicy gang_policy_;
   std::deque<Pending> queue_;
   std::unordered_set<std::uint64_t> busy_clients_;
   /// Tickets dispatched to a worker (or process_all) and not yet

@@ -1,13 +1,12 @@
 // One validated configuration for the serving runtime.
 //
-// The serving tier grew its knobs one PR at a time: the executor pool
-// cap on RepositoryConfig, GangPolicy on QuerySubmissionService,
-// max_pending / worker counts as constructor arguments, TelemetryOptions
-// on AdrServer, and now the adaptive controller's band.  RuntimeConfig
-// consolidates them into a single struct that Repository,
-// QuerySubmissionService and AdrServer all accept, with validate()
-// catching inconsistent settings (empty bands, inverted thresholds)
-// once, up front, instead of as scattered surprises at runtime.
+// The serving tier's knobs: the executor pool cap, the scheduler's
+// worker count and max_pending, the connection cap, TelemetryOptions and
+// the adaptive controller's band.  RuntimeConfig carries them in a
+// single struct that Repository, QuerySubmissionService and AdrServer
+// all accept, with validate() catching inconsistent settings (empty
+// bands, inverted thresholds) once, up front, instead of as scattered
+// surprises at runtime.
 //
 //   adr::RuntimeConfig rt;
 //   rt.executor_pool_size = 4;
@@ -29,17 +28,6 @@
 #include "runtime/adaptive/controller.hpp"
 
 namespace adr {
-
-/// Gang formation policy for QuerySubmissionService (see
-/// docs/batching.md).  window == 0 still gangs queries that are already
-/// queued together; a positive window also waits for near-simultaneous
-/// arrivals.  Under the adaptive controller the window field is a
-/// starting point — the controller opens/closes it from arrival rates.
-struct GangPolicy {
-  bool enabled = true;
-  std::size_t max_gang = 8;
-  std::chrono::microseconds window{0};
-};
 
 /// Background telemetry sampling for a serving process (the sampler
 /// ring behind /history, adr_top, and the adaptive controller).
@@ -67,7 +55,6 @@ struct RuntimeConfig {
   /// Concurrent connection cap for AdrServer.
   std::size_t max_connections = 64;
 
-  GangPolicy gang;
   TelemetryOptions telemetry;
   AdaptiveOptions adaptive;
 

@@ -83,7 +83,7 @@ class AdrClient {
   AdrClient(const AdrClient&) = delete;
   AdrClient& operator=(const AdrClient&) = delete;
 
-  /// Sends the query (with its execution options, wire v4) and waits
+  /// Sends the query (with its execution options) and waits
   /// for the result.  With the default single-shot policy: throws
   /// WireError / std::runtime_error on protocol or transport failure; a
   /// server-side query failure comes back as a WireResult whose status
@@ -136,12 +136,12 @@ class AdrClient {
   /// the socket).
   std::size_t pending() const;
 
-  /// Asks the live server for its observability snapshot (wire v3):
+  /// Asks the live server for its observability snapshot:
   /// metrics_json is the obs registry rendered as JSON; trace_json is
   /// the Chrome trace_event export when `include_trace` is set and the
   /// server has tracing enabled (empty otherwise); history_json is the
   /// telemetry sampler's time-series ring when `include_history` is set
-  /// (wire v5; `history_samples` caps how many trailing samples come
+  /// (`history_samples` caps how many trailing samples come
   /// back, 0 = all).  The connection stays open — queries and stats
   /// requests interleave freely.
   WireStatsReply stats(bool include_trace = false, bool include_history = false,

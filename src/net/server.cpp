@@ -76,7 +76,6 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
                 static_cast<int>(runtime.max_connections),
                 static_cast<int>(runtime.scheduler_workers), runtime.max_pending,
                 runtime.telemetry) {
-  scheduler_.set_gang_policy(runtime.gang);
   if (runtime.adaptive.enabled) {
     // Seed the pool at the band floor; the controller moves it from there.
     repository_->set_executor_pool_limit(runtime.adaptive.min_resident,
@@ -85,9 +84,6 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
     const bool warm = runtime.adaptive.prewarm;
     act.set_resident = [this, warm](std::size_t n) {
       repository_->set_executor_pool_limit(n, warm);
-    };
-    act.set_gang_window = [this](std::chrono::microseconds w) {
-      scheduler_.set_gang_window(w);
     };
     adaptive_ =
         std::make_unique<AdaptiveController>(runtime.adaptive, std::move(act));

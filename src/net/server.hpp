@@ -23,7 +23,7 @@
 //
 // Observability: every connection and query updates the process-wide
 // obs::metrics() registry (server.* series; catalog in
-// docs/observability.md), and a stats-request frame (wire protocol v3)
+// docs/observability.md), and a stats-request frame
 // on any connection answers with the registry snapshot as JSON plus,
 // optionally, the query-lifecycle trace — see AdrClient::stats() and
 // the adr_stats CLI tool.
@@ -63,11 +63,11 @@ class AdrServer {
             const TelemetryOptions& telemetry = {});
 
   /// RuntimeConfig overload: one validated struct carries the
-  /// connection cap, scheduler shape, gang policy, telemetry knobs and
-  /// the adaptive controller's band (core/runtime_config.hpp).  With
+  /// connection cap, scheduler shape, telemetry knobs and the adaptive
+  /// controller's band (core/runtime_config.hpp).  With
   /// runtime.adaptive.enabled the server owns an AdaptiveController
-  /// that moves the repository's executor-pool cap and the scheduler's
-  /// gang window from live sampler signals for the server's lifetime.
+  /// that moves the repository's executor-pool cap from live sampler
+  /// signals for the server's lifetime.
   AdrServer(Repository& repository, std::uint16_t port, const ComputeCosts& costs,
             const RuntimeConfig& runtime);
   ~AdrServer();
@@ -139,7 +139,7 @@ class AdrServer {
   /// Routes every query; bounded by scheduler slots, shared by all
   /// connections.
   QuerySubmissionService scheduler_;
-  /// Feedback controller over the executor pool + gang window; non-null
+  /// Feedback controller over the executor pool; non-null
   /// only for the RuntimeConfig constructor with adaptive.enabled.
   std::unique_ptr<AdaptiveController> adaptive_;
   const int scheduler_workers_;

@@ -12,37 +12,21 @@ constexpr std::uint8_t kQueryTag = 0x51;        // 'Q'
 constexpr std::uint8_t kResultTag = 0x52;       // 'R'
 constexpr std::uint8_t kStatsRequestTag = 0x53; // 'S'
 constexpr std::uint8_t kStatsReplyTag = 0x54;   // 'T'
-// v6: query frames carry the Qos contract (see the version map in
-// wire.hpp).
+// The one protocol version encoded and decoded (see wire.hpp).
 constexpr std::uint8_t kVersion = 6;
-// Query/result bodies are unchanged since v2 except for appended
-// fields, so v2/v3 frames still decode (see the version map in wire.hpp).
-constexpr std::uint8_t kMinVersion = 2;
 
-// Exec-option flag bits (v4 query frames).
+// Exec-option flag bits (query frames).
 constexpr std::uint8_t kOptInitFromOutput = 1u << 0;
 constexpr std::uint8_t kOptWriteOutput = 1u << 1;
 constexpr std::uint8_t kOptPipelineTiles = 1u << 2;
 constexpr std::uint8_t kOptRecordTrace = 1u << 3;
 
-// Qos flag bits (v6 query frames).
+// Qos flag bits (query frames).
 constexpr std::uint8_t kQosHasDeadline = 1u << 0;
 constexpr std::uint8_t kQosDropOnExpiry = 1u << 1;
 
-std::uint8_t check_version(Reader& r) {
-  const std::uint8_t version = r.u8();
-  if (version < kMinVersion || version > kVersion) {
-    throw WireError("wire: unsupported protocol version");
-  }
-  return version;
-}
-
-// Pre-v4 frames carry only (ok, message): recover the intended code
-// from the message the old encoder used for protocol-level refusals.
-StatusCode infer_status_code(bool ok, const std::string& error) {
-  if (ok) return StatusCode::kOk;
-  if (error == kServerBusyError) return StatusCode::kBusy;
-  return StatusCode::kInternal;
+void check_version(Reader& r) {
+  if (r.u8() != kVersion) throw WireError("wire: unsupported protocol version");
 }
 
 }  // namespace
@@ -174,7 +158,7 @@ std::vector<std::byte> encode_query(const Query& query, const ExecOptions& optio
   w.u8(static_cast<std::uint8_t>(query.delivery));
   w.u8(query.write_output ? 1 : 0);
   w.u64(query.seed);
-  // v4: the exec options travel with the query (output_sink is a local
+  // The exec options travel with the query (output_sink is a local
   // callback and cannot cross the wire).
   std::uint8_t flags = 0;
   if (options.init_from_output) flags |= kOptInitFromOutput;
@@ -183,7 +167,7 @@ std::vector<std::byte> encode_query(const Query& query, const ExecOptions& optio
   if (options.record_trace) flags |= kOptRecordTrace;
   w.u8(flags);
   w.f64(options.comm_cpu_bytes_per_sec);
-  // v6: the Qos contract.  Deadlines are steady-clock points local to
+  // The Qos contract.  Deadlines are steady-clock points local to
   // each host, so the wire carries *remaining* milliseconds — client
   // and server clocks never need to agree.  remaining() clamps to 0:
   // an already-expired deadline arrives as "0 ms left", which the
@@ -206,7 +190,7 @@ std::vector<std::byte> encode_query(const Query& query, const ExecOptions& optio
 WireQuery decode_query_frame(std::span<const std::byte> payload) {
   Reader r(payload);
   if (r.u8() != kQueryTag) throw WireError("wire: not a query frame");
-  const std::uint8_t version = check_version(r);
+  check_version(r);
   WireQuery wq;
   Query& q = wq.query;
   q.input_dataset = r.u32();
@@ -222,28 +206,24 @@ WireQuery decode_query_frame(std::span<const std::byte> payload) {
   q.delivery = static_cast<OutputDelivery>(r.u8());
   q.write_output = r.u8() != 0;
   q.seed = r.u64();
-  if (version >= 4) {
-    const std::uint8_t flags = r.u8();
-    wq.options.init_from_output = (flags & kOptInitFromOutput) != 0;
-    wq.options.write_output = (flags & kOptWriteOutput) != 0;
-    wq.options.pipeline_tiles = (flags & kOptPipelineTiles) != 0;
-    wq.options.record_trace = (flags & kOptRecordTrace) != 0;
-    wq.options.comm_cpu_bytes_per_sec = r.f64();
-  }
-  if (version >= 6) {
-    const std::uint8_t qos_flags = r.u8();
-    const std::uint8_t priority = r.u8();
-    const std::uint32_t remaining_ms = r.u32();
-    wq.options.qos.drop_on_expiry = (qos_flags & kQosDropOnExpiry) != 0;
-    wq.options.qos.priority =
-        priority <= static_cast<std::uint8_t>(QosPriority::kInteractive)
-            ? static_cast<QosPriority>(priority)
-            : QosPriority::kNormal;
-    if ((qos_flags & kQosHasDeadline) != 0) {
-      // Rebuild an absolute deadline on the receiver's steady clock.
-      wq.options.qos.deadline = std::chrono::steady_clock::now() +
-                                std::chrono::milliseconds(remaining_ms);
-    }
+  const std::uint8_t flags = r.u8();
+  wq.options.init_from_output = (flags & kOptInitFromOutput) != 0;
+  wq.options.write_output = (flags & kOptWriteOutput) != 0;
+  wq.options.pipeline_tiles = (flags & kOptPipelineTiles) != 0;
+  wq.options.record_trace = (flags & kOptRecordTrace) != 0;
+  wq.options.comm_cpu_bytes_per_sec = r.f64();
+  const std::uint8_t qos_flags = r.u8();
+  const std::uint8_t priority = r.u8();
+  const std::uint32_t remaining_ms = r.u32();
+  wq.options.qos.drop_on_expiry = (qos_flags & kQosDropOnExpiry) != 0;
+  wq.options.qos.priority =
+      priority <= static_cast<std::uint8_t>(QosPriority::kInteractive)
+          ? static_cast<QosPriority>(priority)
+          : QosPriority::kNormal;
+  if ((qos_flags & kQosHasDeadline) != 0) {
+    // Rebuild an absolute deadline on the receiver's steady clock.
+    wq.options.qos.deadline = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(remaining_ms);
   }
   if (!r.done()) throw WireError("wire: trailing bytes after query");
   return wq;
@@ -277,8 +257,8 @@ std::vector<std::byte> encode_result(const WireResult& result) {
   w.u64(result.bytes_communicated);
   w.u64(result.cache_hits);
   w.u64(result.cache_misses);
-  w.u32(result.retry_after_ms);                               // v3
-  w.u16(static_cast<std::uint16_t>(result.status.code));     // v4
+  w.u32(result.retry_after_ms);
+  w.u16(static_cast<std::uint16_t>(result.status.code));
   w.u32(static_cast<std::uint32_t>(result.outputs.size()));
   for (const Chunk& chunk : result.outputs) {
     w.u32(chunk.meta().id.dataset);
@@ -293,7 +273,7 @@ std::vector<std::byte> encode_result(const WireResult& result) {
 WireResult decode_result(std::span<const std::byte> payload) {
   Reader r(payload);
   if (r.u8() != kResultTag) throw WireError("wire: not a result frame");
-  const std::uint8_t version = check_version(r);
+  check_version(r);
   WireResult out;
   const bool ok = r.u8() != 0;
   std::string error = r.str();
@@ -305,19 +285,13 @@ WireResult decode_result(std::span<const std::byte> payload) {
   out.bytes_communicated = r.u64();
   out.cache_hits = r.u64();
   out.cache_misses = r.u64();
-  if (version >= 3) out.retry_after_ms = r.u32();
-  StatusCode code = infer_status_code(ok, error);
-  if (version >= 4) {
-    const auto wire_code = static_cast<StatusCode>(r.u16());
-    // The ok flag stays authoritative: a v4 peer disagreeing with its
-    // own code byte decodes to a consistent status either way.
-    if (ok) {
-      code = StatusCode::kOk;
-    } else if (wire_code != StatusCode::kOk) {
-      code = wire_code;
-    }
-  }
-  out.status = ok ? Status::make_ok() : Status::make(code, std::move(error));
+  out.retry_after_ms = r.u32();
+  const auto code = static_cast<StatusCode>(r.u16());
+  // The ok flag stays authoritative: a failure frame whose code byte
+  // says kOk still decodes to a failure.
+  out.status = ok ? Status::make_ok()
+                  : Status::make(code == StatusCode::kOk ? StatusCode::kInternal : code,
+                                 std::move(error));
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     ChunkMeta meta;
@@ -353,16 +327,11 @@ std::vector<std::byte> encode_stats_request(const WireStatsRequest& request) {
 WireStatsRequest decode_stats_request(std::span<const std::byte> payload) {
   Reader r(payload);
   if (r.u8() != kStatsRequestTag) throw WireError("wire: not a stats request");
-  const std::uint8_t version = r.u8();
-  if (version < 3 || version > kVersion) {
-    throw WireError("wire: unsupported protocol version");
-  }
+  check_version(r);
   WireStatsRequest req;
   req.include_trace = r.u8() != 0;
-  if (version >= 5) {
-    req.include_history = r.u8() != 0;
-    req.history_samples = r.u32();
-  }
+  req.include_history = r.u8() != 0;
+  req.history_samples = r.u32();
   if (!r.done()) throw WireError("wire: trailing bytes after stats request");
   return req;
 }
@@ -380,14 +349,11 @@ std::vector<std::byte> encode_stats_reply(const WireStatsReply& reply) {
 WireStatsReply decode_stats_reply(std::span<const std::byte> payload) {
   Reader r(payload);
   if (r.u8() != kStatsReplyTag) throw WireError("wire: not a stats reply");
-  const std::uint8_t version = r.u8();
-  if (version < 3 || version > kVersion) {
-    throw WireError("wire: unsupported protocol version");
-  }
+  check_version(r);
   WireStatsReply reply;
   reply.metrics_json = r.str();
   reply.trace_json = r.str();
-  if (version >= 5) reply.history_json = r.str();
+  reply.history_json = r.str();
   if (!r.done()) throw WireError("wire: trailing bytes after stats reply");
   return reply;
 }

@@ -10,26 +10,8 @@
 // where payload is an encode_query(), encode_result(),
 // encode_stats_request() or encode_stats_reply() body.
 //
-// Protocol versions:
-//   v1  query + result frames
-//   v2  result frames carry chunk-cache hit/miss counters
-//   v3  result frames carry a retry-after hint on "server busy"
-//       refusals, and the stats request/reply frames exist (a JSON
-//       metrics snapshot plus an optional Chrome trace export)
-//   v4  result frames carry a typed StatusCode (u16) and query frames
-//       carry the ExecOptions the query should execute with (flag byte
-//       + comm-CPU rate; the output_sink callback is not serialized)
-//   v5  stats requests carry an include-history flag and a sample cap;
-//       stats replies carry the telemetry sampler's time-series history
-//       as JSON (empty when not requested or the sampler is idle)
-//   v6  query frames carry the Qos contract (flag byte + priority +
-//       deadline-remaining milliseconds; deadlines travel as remaining
-//       time so the two hosts' steady clocks never need to agree)
-// Encoders emit v6; query/result decoders also accept v2..v5 frames —
-// missing fields default (exec options to their defaults, Qos to none,
-// and the status code is inferred from the ok flag and the "server
-// busy" message).  Stats frames are v3+; v3/v4 stats frames decode with
-// the history fields defaulted/empty.
+// Protocol version: v6 is the only one encoded or decoded; a frame of
+// any other version is a WireError (v1-v5 grew it field by field).
 #pragma once
 
 #include <cstddef>
@@ -58,9 +40,7 @@ inline constexpr const char* kServerBusyError = "server busy";
 
 /// The client-facing view of a query result.
 struct WireResult {
-  /// Typed outcome: code + message.  v4 peers carry the code on the
-  /// wire; for v2/v3 frames the decoder infers it (ok flag, "server
-  /// busy" message -> kBusy, any other error -> kInternal).
+  /// Typed outcome: code + message, both carried on the wire.
   Status status;
 
   bool ok() const { return status.ok(); }
@@ -73,12 +53,12 @@ struct WireResult {
   std::uint64_t chunk_reads = 0;
   double total_s = 0.0;
   std::uint64_t bytes_communicated = 0;
-  /// Server-side chunk-cache traffic for this query (v2 protocol).
+  /// Server-side chunk-cache traffic for this query.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// On a "server busy" refusal: the server's estimate of when retrying
   /// is worth it, derived from its live queue-depth gauge and measured
-  /// submit latency (v3 protocol; 0 = no hint).
+  /// submit latency (0 = no hint).
   std::uint32_t retry_after_ms = 0;
   /// How many submit attempts the client made before this result came
   /// back (1 = first try).  Client-side bookkeeping filled in by
@@ -96,7 +76,7 @@ struct WireResult {
 WireResult to_wire_result(const QueryResult& result);
 
 /// A decoded query frame: the query plus the execution options it asked
-/// for (v4; older frames decode with default options).
+/// for.
 struct WireQuery {
   Query query;
   ExecOptions options;
@@ -109,13 +89,13 @@ WireQuery decode_query_frame(std::span<const std::byte> payload);
 std::vector<std::byte> encode_result(const WireResult& result);
 WireResult decode_result(std::span<const std::byte> payload);
 
-/// Stats endpoint (v3): a client asks the live server for its metrics
+/// Stats endpoint: a client asks the live server for its metrics
 /// snapshot; the reply carries the obs registry rendered as JSON and,
 /// when requested and tracing is enabled server-side, the query-
 /// lifecycle ring exported as Chrome trace_event JSON.
 struct WireStatsRequest {
   bool include_trace = false;
-  /// v5: also return the telemetry sampler's ring as JSON (see
+  /// Also return the telemetry sampler's ring as JSON (see
   /// obs/sampler.hpp).  history_samples caps how many trailing samples
   /// the reply carries (0 = the whole ring).
   bool include_history = false;
@@ -125,7 +105,7 @@ struct WireStatsRequest {
 struct WireStatsReply {
   std::string metrics_json;
   std::string trace_json;    // empty unless requested and tracer enabled
-  std::string history_json;  // empty unless requested (v5) and sampler running
+  std::string history_json;  // empty unless requested and sampler running
 };
 
 /// True when `payload` starts like a stats-request frame (how the

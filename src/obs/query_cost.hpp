@@ -43,8 +43,6 @@ struct QueryCostLedger {
   /// CPU time for the run (thread backend; 0 on the simulator).
   double exec_wall_s = 0.0;
   double thread_cpu_s = 0.0;
-  /// Gang this query executed in (1 = alone).
-  std::uint32_t gang_size = 1;
   /// Submit attempts that produced this result.  Server-side execution
   /// is always 1; AdrClient's retry loop reports its count on
   /// WireResult::attempts (client.* series), not here.

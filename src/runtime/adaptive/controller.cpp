@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 
 namespace adr {
@@ -14,30 +13,15 @@ struct AdaptiveMetrics {
   obs::Counter& ticks;
   obs::Counter& scale_ups;
   obs::Counter& scale_downs;
-  obs::Counter& window_opens;
-  obs::Counter& window_closes;
   obs::Gauge& resident_target;
-  obs::Gauge& gang_window_us;
 };
 
 AdaptiveMetrics& adaptive_metrics() {
   static AdaptiveMetrics m{obs::metrics().counter("adaptive.ticks"),
                            obs::metrics().counter("adaptive.scale_ups"),
                            obs::metrics().counter("adaptive.scale_downs"),
-                           obs::metrics().counter("adaptive.window_opens"),
-                           obs::metrics().counter("adaptive.window_closes"),
-                           obs::metrics().gauge("adaptive.resident_target"),
-                           obs::metrics().gauge("adaptive.gang_window_us")};
+                           obs::metrics().gauge("adaptive.resident_target")};
   return m;
-}
-
-double counter_rate_for(const obs::TelemetrySample& prev,
-                        const obs::TelemetrySample& cur,
-                        const std::string& name, double dt_s) {
-  const std::uint64_t* p = prev.snapshot.counter(name);
-  const std::uint64_t* c = cur.snapshot.counter(name);
-  if (p == nullptr || c == nullptr) return 0.0;
-  return obs::counter_rate(*p, *c, dt_s);
 }
 
 }  // namespace
@@ -57,14 +41,11 @@ void AdaptiveController::start() {
     if (thread_running_) return;
     thread_running_ = true;
   }
-  // Establish the starting point before any load arrives: band floor,
-  // window closed.
+  // Establish the starting point before any load arrives: band floor.
   AdaptiveDecision d;
   {
     std::lock_guard<std::mutex> lk(mutex_);
     d.resident = resident_;
-    d.gang_window = window_open_ ? options_.gang_window
-                                 : std::chrono::microseconds{0};
   }
   apply(d);
   thread_ = std::thread([this] { thread_main(); });
@@ -87,7 +68,6 @@ AdaptiveDecision AdaptiveController::step(const AdaptiveSignals& signals) {
   const auto hi = std::max<std::size_t>(options_.max_resident, lo);
   resident_ = std::clamp(resident_, lo, hi);
 
-  // --- Resident-executor band -------------------------------------------
   const double r = static_cast<double>(resident_);
   const bool pressured =
       signals.queue_depth >= options_.depth_high_per_executor * r ||
@@ -120,42 +100,7 @@ AdaptiveDecision AdaptiveController::step(const AdaptiveSignals& signals) {
     d.scaled_down = true;
   }
 
-  // --- Gang-formation window --------------------------------------------
-  const double mean_gang = signals.gangs_per_s > 0.0
-                               ? signals.gang_members_per_s / signals.gangs_per_s
-                               : 0.0;
-  if (!window_open_) {
-    if (signals.arrival_qps >= options_.gang_open_qps) {
-      ++open_streak_;
-    } else {
-      open_streak_ = 0;
-    }
-    if (open_streak_ >= options_.scale_up_ticks) {
-      window_open_ = true;
-      open_streak_ = 0;
-      d.window_opened = true;
-    }
-  } else {
-    const bool quiet = signals.arrival_qps <= options_.gang_close_qps;
-    // Gangs forming but averaging ~1 member: the window is pure latency
-    // tax.  Only meaningful while gangs are actually being formed.
-    const bool unproductive =
-        signals.gangs_per_s > 0.0 && mean_gang < options_.min_mean_gang;
-    if (quiet || unproductive) {
-      ++close_streak_;
-    } else {
-      close_streak_ = 0;
-    }
-    if (close_streak_ >= options_.scale_down_ticks) {
-      window_open_ = false;
-      close_streak_ = 0;
-      d.window_closed = true;
-    }
-  }
-
   d.resident = resident_;
-  d.gang_window =
-      window_open_ ? options_.gang_window : std::chrono::microseconds{0};
   return d;
 }
 
@@ -187,13 +132,6 @@ AdaptiveSignals AdaptiveController::signals_from(
   if (const std::int64_t* g = cur.snapshot.gauge("scheduler.in_flight")) {
     s.in_flight = static_cast<double>(*g);
   }
-  s.arrival_qps =
-      counter_rate_for(prev, cur, "scheduler.enqueued", s.interval_s);
-  s.completion_qps =
-      counter_rate_for(prev, cur, "scheduler.completed", s.interval_s);
-  s.gangs_per_s = counter_rate_for(prev, cur, "batch.gangs", s.interval_s);
-  s.gang_members_per_s =
-      counter_rate_for(prev, cur, "batch.members", s.interval_s);
 
   // Histogram sum delta: seconds of queue wait accumulated per second of
   // wall time.  Resets (sum shrank) report as 0 rather than a negative
@@ -213,11 +151,6 @@ std::size_t AdaptiveController::resident() const {
   return resident_;
 }
 
-std::chrono::microseconds AdaptiveController::gang_window() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return window_open_ ? options_.gang_window : std::chrono::microseconds{0};
-}
-
 void AdaptiveController::thread_main() {
   std::unique_lock<std::mutex> lk(thread_mutex_);
   while (thread_running_) {
@@ -234,12 +167,8 @@ void AdaptiveController::apply(const AdaptiveDecision& d) {
   m.ticks.add();
   if (d.scaled_up) m.scale_ups.add();
   if (d.scaled_down) m.scale_downs.add();
-  if (d.window_opened) m.window_opens.add();
-  if (d.window_closed) m.window_closes.add();
   m.resident_target.set(static_cast<std::int64_t>(d.resident));
-  m.gang_window_us.set(static_cast<std::int64_t>(d.gang_window.count()));
   if (actuators_.set_resident) actuators_.set_resident(d.resident);
-  if (actuators_.set_gang_window) actuators_.set_gang_window(d.gang_window);
 }
 
 }  // namespace adr

@@ -1,37 +1,27 @@
 // Adaptive runtime controller: closes the loop from the telemetry
-// sampler's time series back onto the runtime's dynamic knobs.
+// sampler's time series back onto the executor pool's resident cap.
 //
-// The serving tier's two throughput knobs were static at construction:
-// the executor pool's resident cap (warm node-thread executors kept
-// between submits) and the submission service's gang-formation window.
-// The paper's runtime wins come from keeping disk, network and compute
-// saturated *without* overcommitting — which depends on offered load,
-// so the right values change minute to minute.  AdaptiveController is a
-// small feedback controller that reads the sampler ring (obs/sampler.hpp)
-// each tick and actuates:
-//
-//   * resident executors, inside a [min_resident, max_resident] band:
-//     scale up on sustained scheduler queue depth or queue-wait
-//     accumulation, decay back down when the queue is idle.  Streak
-//     counters (scale_up_ticks / scale_down_ticks consecutive
-//     observations) provide hysteresis so a noisy signal cannot flap
-//     the band.
-//   * the gang-formation window: opened only when the arrival rate says
-//     near-simultaneous overlapping queries are likely (batching wins),
-//     closed again under light load — and closed early when the batch.*
-//     series show gangs are forming but not actually sharing (mean gang
-//     size ~ 1) — so idle-period latency is never taxed by the wait.
+// The pool's resident cap (warm node-thread executors kept between
+// submits) was static at construction.  The paper's runtime wins come
+// from keeping disk, network and compute saturated *without*
+// overcommitting — which depends on offered load, so the right value
+// changes minute to minute.  AdaptiveController is a small feedback
+// controller that reads the sampler ring (obs/sampler.hpp) each tick and
+// moves resident executors inside a [min_resident, max_resident] band:
+// scale up on sustained scheduler queue depth or queue-wait
+// accumulation, decay back down when the queue is idle.  Streak counters
+// (scale_up_ticks / scale_down_ticks consecutive observations) provide
+// hysteresis so a noisy signal cannot flap the band.
 //
 // Decisions are a pure function of (signals, internal streak state):
 // step() takes an explicit AdaptiveSignals and returns the decision, so
 // tests drive the controller over synthetic time series without a
 // sampler, a clock, or a running pool.  The background thread is a thin
 // shell: extract signals from the two newest ring samples, step, apply
-// through the injected actuators.
+// through the injected actuator.
 //
-// Metrics: adaptive.ticks/scale_ups/scale_downs/window_opens/
-// window_closes counters and adaptive.resident_target /
-// adaptive.gang_window_us gauges (catalog: docs/observability.md).
+// Metrics: adaptive.ticks/scale_ups/scale_downs counters and the
+// adaptive.resident_target gauge (catalog: docs/observability.md).
 // Policy walkthrough: docs/scheduling.md.
 #pragma once
 
@@ -74,16 +64,6 @@ struct AdaptiveOptions {
   int scale_up_ticks = 2;
   int scale_down_ticks = 5;
 
-  /// Gang window control: open at sustained arrival >= gang_open_qps,
-  /// close at arrival <= gang_close_qps (close <= open for hysteresis).
-  double gang_open_qps = 32.0;
-  double gang_close_qps = 8.0;
-  /// With the window open, a mean formed-gang size below this means
-  /// batching is not paying for the wait — counts toward closing.
-  double min_mean_gang = 1.2;
-  /// The window handed to the submission service while open.
-  std::chrono::microseconds gang_window{2000};
-
   /// Background thread poll period (decisions still advance at the
   /// sampler's cadence — a tick without a new ring sample is a no-op).
   std::chrono::milliseconds tick{200};
@@ -100,38 +80,26 @@ struct AdaptiveSignals {
   /// scheduler.queue_depth / scheduler.in_flight gauges (newest sample).
   double queue_depth = 0.0;
   double in_flight = 0.0;
-  /// scheduler.enqueued rate over the interval (accepted arrivals/s).
-  double arrival_qps = 0.0;
-  /// scheduler.completed rate over the interval.
-  double completion_qps = 0.0;
   /// scheduler.queue_wait_s histogram *sum* delta per second: seconds of
   /// queue wait accumulated per second of wall time.
   double queue_wait_s_per_s = 0.0;
-  /// batch.gangs / batch.members rates (the overlap signal).
-  double gangs_per_s = 0.0;
-  double gang_members_per_s = 0.0;
 };
 
-/// What one step decided.  resident/gang_window are the *current*
-/// targets (post-decision); the booleans flag this step's transitions.
+/// What one step decided.  resident is the *current* target
+/// (post-decision); the booleans flag this step's transitions.
 struct AdaptiveDecision {
   std::size_t resident = 0;
-  std::chrono::microseconds gang_window{0};
   bool scaled_up = false;
   bool scaled_down = false;
-  bool window_opened = false;
-  bool window_closed = false;
 };
 
 class AdaptiveController {
  public:
   /// How decisions reach the runtime.  Injected so the controller never
-  /// holds pool/scheduler locks itself (and so tests can record calls).
+  /// holds pool locks itself (and so tests can record calls).
   struct Actuators {
     /// Apply a new resident-executor target (band already enforced).
     std::function<void(std::size_t)> set_resident;
-    /// Apply a new gang-formation window (0 = closed).
-    std::function<void(std::chrono::microseconds)> set_gang_window;
   };
 
   AdaptiveController(const AdaptiveOptions& options, Actuators actuators);
@@ -140,14 +108,14 @@ class AdaptiveController {
   AdaptiveController(const AdaptiveController&) = delete;
   AdaptiveController& operator=(const AdaptiveController&) = delete;
 
-  /// Applies the initial targets (min_resident, window closed) and
-  /// spawns the tick thread.  No-op when already started.
+  /// Applies the initial target (min_resident) and spawns the tick
+  /// thread.  No-op when already started.
   void start();
   /// Joins the tick thread.  Safe to call repeatedly / without start().
   void stop();
 
   /// One pure control step over explicit signals: updates streak state,
-  /// moves the targets, returns the decision.  Does NOT actuate — the
+  /// moves the target, returns the decision.  Does NOT actuate — the
   /// tick loop (or a test) applies the result.  Thread-safe.
   AdaptiveDecision step(const AdaptiveSignals& signals);
 
@@ -162,9 +130,8 @@ class AdaptiveController {
   static AdaptiveSignals signals_from(const obs::TelemetrySample& prev,
                                       const obs::TelemetrySample& cur);
 
-  /// Current targets (what the last step decided).
+  /// Current target (what the last step decided).
   std::size_t resident() const;
-  std::chrono::microseconds gang_window() const;
 
   const AdaptiveOptions& options() const { return options_; }
 
@@ -177,11 +144,8 @@ class AdaptiveController {
 
   mutable std::mutex mutex_;
   std::size_t resident_ = 1;
-  bool window_open_ = false;
   int up_streak_ = 0;
   int down_streak_ = 0;
-  int open_streak_ = 0;
-  int close_streak_ = 0;
   /// mono_ms of the newest ring sample already consumed by tick_now().
   std::uint64_t last_sample_mono_ms_ = 0;
 

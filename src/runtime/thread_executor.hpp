@@ -70,13 +70,6 @@ class ThreadExecutor : public Executor {
 
   int node_of_disk(int global_disk) const { return global_disk / disks_per_node_; }
 
-  /// Rebinds the store reads and writes go through.  Only valid between
-  /// runs (the completed-run handshake orders it against the previous
-  /// run's node tasks): the batch path points a leased warm executor at
-  /// its gang's shared-scan buffer, then restores the farm afterwards.
-  void set_store(ChunkStore* store) { store_ = store; }
-  ChunkStore* store() const { return store_; }
-
   /// Completed run() calls on this pool of threads (executor-reuse
   /// observability: threads are spawned once, runs accumulate).
   std::uint64_t completed_runs() const;
@@ -107,7 +100,7 @@ class ThreadExecutor : public Executor {
   double workers_cpu_seconds() const;
 
   int disks_per_node_;
-  ChunkStore* store_;
+  ChunkStore* const store_;
   MessageHandler handler_;
   std::vector<std::unique_ptr<Worker>> workers_;
 

@@ -7,7 +7,7 @@
 // holds for one output chunk is a pure function of (a) the aggregation
 // operation, (b) the mapping function, and (c) the exact set of input
 // chunks that contributed — it does not depend on the strategy, the
-// tiling, the gang it ran in, or any other query parameter.  That makes
+// tiling, or any other query parameter.  That makes
 // it exactly a data-cube marginal: any later query whose range induces
 // the same contributing set for that accumulator chunk can skip both the
 // I/O and the compute for it and pay only for the fringe.

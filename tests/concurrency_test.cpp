@@ -13,6 +13,8 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -234,6 +236,74 @@ class GatedCountOp : public AggregationOp {
  private:
   std::shared_ptr<Gate> gate_;
 };
+
+// Two queries meet inside aggregate(): every reduction records the
+// output dataset it feeds, then waits (until one shared 10 s deadline)
+// for reductions into two distinct output datasets — which only happens
+// when both queries execute at the same time.
+struct Rendezvous {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::set<std::uint32_t> datasets;
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  bool timed_out = false;
+  void arrive(std::uint32_t dataset) {
+    std::unique_lock lock(mutex);
+    datasets.insert(dataset);
+    cv.notify_all();
+    if (!deadline) deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    if (!cv.wait_until(lock, *deadline, [this]() { return datasets.size() >= 2; })) {
+      timed_out = true;
+    }
+  }
+};
+
+std::shared_ptr<Gate> open_gate() {
+  auto gate = std::make_shared<Gate>();
+  gate->release();
+  return gate;
+}
+
+class RendezvousCountOp : public GatedCountOp {
+ public:
+  explicit RendezvousCountOp(std::shared_ptr<Rendezvous> rendezvous)
+      : GatedCountOp(open_gate()), rendezvous_(std::move(rendezvous)) {}
+  std::string name() const override { return "rendezvous-count"; }
+  void aggregate(const Chunk& input, const ChunkMeta& output,
+                 std::vector<std::byte>& accum) const override {
+    rendezvous_->arrive(output.id.dataset);
+    GatedCountOp::aggregate(input, output, accum);
+  }
+
+ private:
+  std::shared_ptr<Rendezvous> rendezvous_;
+};
+
+TEST(SubmissionPool, QueuedOverlappingQueriesRunConcurrently) {
+  // Same input, same strategy, overlapping ranges, queued together: each
+  // still runs on its own worker, so the two meet mid-reduction.
+  Repository repo(thread_config(2));
+  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 2));
+  const auto out_a = repo.create_dataset("a", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
+  const auto out_b = repo.create_dataset("b", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
+  auto rendezvous = std::make_shared<Rendezvous>();
+  repo.aggregations().register_op(std::make_shared<RendezvousCountOp>(rendezvous));
+
+  QuerySubmissionService service(repo);
+  Query a = variant_query(in, out_a, 3);  // FRA over the whole domain
+  Query b = variant_query(in, out_b, 0);  // FRA over its lower-left corner
+  a.aggregation = b.aggregation = "rendezvous-count";
+  const auto ta = service.enqueue(a, {}, /*client=*/1);
+  const auto tb = service.enqueue(b, {}, /*client=*/2);
+  service.start(2);
+
+  EXPECT_TRUE(service.take(ta).ok());
+  EXPECT_TRUE(service.take(tb).ok());
+  service.stop();
+  std::lock_guard lock(rendezvous->mutex);
+  EXPECT_FALSE(rendezvous->timed_out) << "the queries ran one after the other";
+  EXPECT_EQ(rendezvous->datasets.size(), 2u);
+}
 
 TEST(SubmissionPool, FifoPerClientWhileOtherClientsProceed) {
   Repository repo(thread_config(2));

@@ -245,32 +245,6 @@ TEST(Repository, DiscardDeliveryProducesNoOutputs) {
   EXPECT_EQ(written, 0u);
 }
 
-TEST(Repository, SubmitAllRunsInOrder) {
-  Repository repo(thread_config(2));
-  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 1));
-  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
-  std::vector<Query> queries;
-  for (StrategyKind s : {StrategyKind::kFRA, StrategyKind::kDA}) {
-    Query q;
-    q.input_dataset = in;
-    q.output_dataset = out;
-    q.range = Rect::cube(2, 0.0, 1.0);
-    q.aggregation = "sum-count-max";
-    q.strategy = s;
-    q.delivery = OutputDelivery::kReturnToClient;
-    queries.push_back(q);
-  }
-  const auto results = repo.submit_all(queries);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].strategy, StrategyKind::kFRA);
-  EXPECT_EQ(results[1].strategy, StrategyKind::kDA);
-  // Both strategies deliver the same answer.
-  ASSERT_EQ(results[0].outputs.size(), results[1].outputs.size());
-  for (std::size_t i = 0; i < results[0].outputs.size(); ++i) {
-    EXPECT_EQ(results[0].outputs[i].payload(), results[1].outputs[i].payload());
-  }
-}
-
 TEST(QuerySubmissionService, TicketsAndFifoProcessing) {
   Repository repo(thread_config(2));
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 2));
@@ -304,36 +278,6 @@ TEST(QuerySubmissionService, TicketsAndFifoProcessing) {
   // Taking the same ticket twice also misses: take() releases retention.
   EXPECT_EQ(service.take(t1).status.code, StatusCode::kNotFound);
 }
-
-// The pre-batching accessors are deprecated but must keep working for
-// one release cycle; suppress the deprecation warning locally (CI builds
-// with -Werror).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(QuerySubmissionService, DeprecatedAccessorsStillWork) {
-  Repository repo(thread_config(2));
-  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 2));
-  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
-  QuerySubmissionService service(repo);
-
-  Query q;
-  q.input_dataset = in;
-  q.output_dataset = out;
-  q.range = Rect::cube(2, 0.0, 1.0);
-  q.aggregation = "sum-count-max";
-  q.delivery = OutputDelivery::kReturnToClient;
-
-  const auto t = service.enqueue(q);
-  EXPECT_EQ(service.result(t), nullptr);  // not processed yet
-  EXPECT_EQ(service.process_all(), 1u);
-  ASSERT_NE(service.result(t), nullptr);
-  EXPECT_EQ(service.result(t)->outputs.size(), 4u);
-  EXPECT_EQ(service.error(t), nullptr);
-  const QueryResult* r = service.wait(t);
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->outputs.size(), 4u);
-}
-#pragma GCC diagnostic pop
 
 TEST(Repository, GridIndexBackendWorks) {
   RepositoryConfig cfg = thread_config(2);

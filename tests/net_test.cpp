@@ -184,64 +184,24 @@ TEST(Wire, ExecOptionsTravelWithQueryFrame) {
                    defaults.comm_cpu_bytes_per_sec);
 }
 
-TEST(Wire, V2ResultFrameStillDecodes) {
-  // A v2 peer's result body: same layout as v3 minus the appended
-  // retry-after field.  Decoding must accept it and default the hint.
-  Writer w;
-  w.u8(0x52);  // result tag
-  w.u8(2);     // protocol v2
-  w.u8(1);     // ok
-  w.str("");
-  w.u8(static_cast<std::uint8_t>(StrategyKind::kSRA));
-  w.u32(9);         // tiles
-  w.u64(3);         // ghost_chunks
-  w.u64(77);        // chunk_reads
-  w.f64(1.25);      // total_s
-  w.u64(4096);      // bytes_communicated
-  w.u64(10);        // cache_hits
-  w.u64(2);         // cache_misses
-  w.u32(0);         // outputs
-  const WireResult back = decode_result(w.take());
-  EXPECT_TRUE(back.ok());
-  EXPECT_EQ(back.status.code, StatusCode::kOk);
-  EXPECT_EQ(back.strategy, StrategyKind::kSRA);
-  EXPECT_EQ(back.tiles, 9);
-  EXPECT_EQ(back.cache_hits, 10u);
-  EXPECT_EQ(back.retry_after_ms, 0u);  // v3 field defaults
-}
-
-TEST(Wire, V3ResultFrameInfersStatusCode) {
-  // A v3 peer's failure frame carries only (ok, message); the decoder
-  // must map the well-known busy message to kBusy and anything else to
-  // kInternal.
-  const auto v3_failure = [](const std::string& error) {
-    Writer w;
-    w.u8(0x52);  // result tag
-    w.u8(3);     // protocol v3
-    w.u8(0);     // not ok
-    w.str(error);
-    w.u8(static_cast<std::uint8_t>(StrategyKind::kFRA));
-    w.u32(0);   // tiles
-    w.u64(0);   // ghost_chunks
-    w.u64(0);   // chunk_reads
-    w.f64(0.0); // total_s
-    w.u64(0);   // bytes_communicated
-    w.u64(0);   // cache_hits
-    w.u64(0);   // cache_misses
-    w.u32(500); // retry_after_ms (v3)
-    w.u32(0);   // outputs
-    return decode_result(w.take());
-  };
-  const WireResult busy = v3_failure(kServerBusyError);
-  EXPECT_FALSE(busy.ok());
-  EXPECT_EQ(busy.status.code, StatusCode::kBusy);
-  EXPECT_TRUE(busy.server_busy());
-  EXPECT_EQ(busy.retry_after_ms, 500u);
-
-  const WireResult other = v3_failure("engine exploded");
-  EXPECT_FALSE(other.ok());
-  EXPECT_EQ(other.status.code, StatusCode::kInternal);
-  EXPECT_EQ(other.error(), "engine exploded");
+TEST(Wire, V5FrameOfEveryKindRejected) {
+  // Only v6 decodes: a frame of each kind, stamped with the previous
+  // version, is refused by its own decoder rather than half-parsed.
+  WireStatsReply reply;
+  reply.metrics_json = "{}";
+  Query q;
+  q.range = Rect::cube(2, 0.0, 1.0);
+  std::vector<std::byte> query = encode_query(q);
+  std::vector<std::byte> result = encode_result(WireResult{});
+  std::vector<std::byte> request = encode_stats_request({});
+  std::vector<std::byte> stats = encode_stats_reply(reply);
+  for (std::vector<std::byte>* frame : {&query, &result, &request, &stats}) {
+    (*frame)[1] = std::byte{5};  // byte 0 is the kind tag, byte 1 the version
+  }
+  EXPECT_THROW(decode_query_frame(query), WireError);
+  EXPECT_THROW(decode_result(result), WireError);
+  EXPECT_THROW(decode_stats_request(request), WireError);
+  EXPECT_THROW(decode_stats_reply(stats), WireError);
 }
 
 TEST(Wire, UnsupportedVersionRejected) {

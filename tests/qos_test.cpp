@@ -123,40 +123,6 @@ TEST(Qos, WireV6RoundTrip) {
   EXPECT_TRUE(plain.options.qos.drop_on_expiry);
 }
 
-/// A pre-Qos peer's query body: v4/v5 layout ends after the exec-options
-/// comm-CPU rate.  Both must decode with the default (no-deadline) Qos.
-std::vector<std::byte> legacy_query_frame(std::uint8_t version) {
-  net::Writer w;
-  w.u8(0x51);  // query tag
-  w.u8(version);
-  w.u32(1);                    // input_dataset
-  w.u32(0);                    // no extra inputs
-  w.u32(2);                    // output_dataset
-  w.rect(Rect::cube(2, 0.0, 1.0));
-  w.str("");                   // map_function
-  w.str("sum-count-max");      // aggregation
-  w.u8(static_cast<std::uint8_t>(StrategyKind::kFRA));
-  w.u8(0);                     // tiling_order
-  w.u8(static_cast<std::uint8_t>(OutputDelivery::kReturnToClient));
-  w.u8(1);                     // write_output
-  w.u64(7);                    // seed
-  w.u8(0);                     // exec-option flags (v4)
-  w.f64(0.0);                  // comm_cpu_bytes_per_sec (v4)
-  return w.take();
-}
-
-TEST(Qos, V4AndV5QueryFramesDecodeWithDefaultQos) {
-  for (const std::uint8_t version : {std::uint8_t{4}, std::uint8_t{5}}) {
-    const net::WireQuery back = net::decode_query_frame(legacy_query_frame(version));
-    EXPECT_EQ(back.query.input_dataset, 1u) << "v" << int(version);
-    EXPECT_EQ(back.query.aggregation, "sum-count-max");
-    EXPECT_EQ(back.query.seed, 7u);
-    EXPECT_FALSE(back.options.qos.has_deadline()) << "v" << int(version);
-    EXPECT_EQ(back.options.qos.priority, QosPriority::kNormal);
-    EXPECT_TRUE(back.options.qos.drop_on_expiry);
-  }
-}
-
 // ---------------------------------------------------------- scheduler
 
 TEST(Qos, SchedulerShedsExpiredDropOnExpiryQueries) {
@@ -205,9 +171,6 @@ TEST(Qos, DispatchPrefersHigherPriorityLaneHeads) {
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 1));
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
   QuerySubmissionService service(repo);
-  QuerySubmissionService::GangPolicy no_gangs;
-  no_gangs.enabled = false;
-  service.set_gang_policy(no_gangs);
 
   std::mutex order_mutex;
   std::vector<std::uint64_t> finish_order;
@@ -309,12 +272,6 @@ TEST(RuntimeConfig, ValidateCatchesBadKnobs) {
   EXPECT_EQ(bad.validate().code, StatusCode::kInvalidArgument);
   EXPECT_THROW(bad.check(), StatusError);
 
-  RuntimeConfig gangless;
-  gangless.gang.max_gang = 1;  // a 1-member gang can never share reads
-  EXPECT_FALSE(gangless.validate().ok());
-  gangless.gang.enabled = false;  // ...unless gangs are off entirely
-  EXPECT_TRUE(gangless.validate().ok());
-
   RuntimeConfig inverted;
   inverted.adaptive.min_resident = 8;
   inverted.adaptive.max_resident = 2;
@@ -340,8 +297,6 @@ TEST(RuntimeConfig, RepositoryAndServiceAdoptKnobs) {
   RuntimeConfig runtime;
   runtime.executor_pool_size = 3;
   runtime.max_pending = 2;
-  runtime.gang.max_gang = 4;
-  runtime.gang.window = std::chrono::microseconds{123};
 
   Repository repo(thread_config(2), runtime);
   EXPECT_EQ(repo.config().executor_pool_size, 3u);
@@ -349,8 +304,6 @@ TEST(RuntimeConfig, RepositoryAndServiceAdoptKnobs) {
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
 
   QuerySubmissionService service(repo, runtime);
-  EXPECT_EQ(service.gang_policy().max_gang, 4u);
-  EXPECT_EQ(service.gang_policy().window, std::chrono::microseconds{123});
 
   // max_pending rides along: the third accepted-but-unfinished query is
   // refused by try_enqueue.

@@ -378,13 +378,12 @@ TEST(QueryCost, LedgerReconcilesWithCacheCounters) {
   EXPECT_EQ(first.cost.total_chunks(), first.cost.cold_chunks + first.cost.cached_chunks);
 
   // Executor attribution mirrors ExecStats; a direct submit never
-  // waited in a scheduler queue and ran alone.
+  // waited in a scheduler queue.
   EXPECT_DOUBLE_EQ(first.cost.exec_wall_s, first.stats.total_s);
   EXPECT_DOUBLE_EQ(first.cost.thread_cpu_s, first.stats.thread_cpu_s);
   EXPECT_EQ(first.cost.aggregate_pairs, first.stats.total_lr_pairs());
   EXPECT_GT(first.cost.aggregate_pairs, 0u);
   EXPECT_DOUBLE_EQ(first.cost.queue_wait_s, 0.0);
-  EXPECT_EQ(first.cost.gang_size, 1u);
   EXPECT_EQ(first.cost.attempts, 1u);
   EXPECT_EQ(first.cost.marginal_chunks, 0u);  // nothing cached yet
 
@@ -429,7 +428,6 @@ TEST(QueryCost, SchedulerAttributesWaitAndClearsContext) {
   // Waited a measurable, sane amount (measured, not the sentinel).
   EXPECT_GE(outcome.result.cost.queue_wait_s, 0.0);
   EXPECT_LT(outcome.result.cost.queue_wait_s, 60.0);
-  EXPECT_GE(outcome.result.cost.gang_size, 1u);
   // The worker cleared its deposit: nothing leaks into later submits on
   // this thread either way (main thread never deposited).
   EXPECT_DOUBLE_EQ(obs::cost_queue_wait(), 0.0);

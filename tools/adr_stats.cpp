@@ -11,7 +11,7 @@
 // --json prints the raw snapshot JSON instead (the pre-table behavior;
 // pipe through `jq`).  --watch <secs> repaints continuously, adding
 // per-second rates computed client-side from the server's telemetry
-// history endpoint (wire v5; the server's sampler must be running,
+// history endpoint (the server's sampler must be running,
 // which AdrServer does by default).  With --trace, also asks for the
 // query-lifecycle trace and writes it as Chrome trace_event JSON to the
 // given file; open it in https://ui.perfetto.dev.  The trace is empty

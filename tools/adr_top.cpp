@@ -1,7 +1,7 @@
 // adr_top: live terminal dashboard for an ADR server.
 //
 // Polls the server's telemetry history over the wire stats endpoint
-// (protocol v5) and repaints a compact dashboard each interval: query
+// and repaints a compact dashboard each interval: query
 // throughput, windowed p50/p99 submit latency, scheduler queue depth,
 // cache hit ratios, active connections — each with a sparkline over the
 // sampler's retained history.  The server must be running its telemetry
