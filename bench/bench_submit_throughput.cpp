@@ -1,11 +1,11 @@
 // Submit throughput: cold vs warm queries/sec on the thread backend over
-// a file-backed disk farm, ablating the two serving-path optimisations —
-// executor reuse (persistent warm node-thread pools) and the cross-query
-// chunk cache.  Emits BENCH_submit_throughput.json for CI artifacts.
+// a file-backed disk farm, with and without the cross-query chunk cache.
+// Emits BENCH_submit_throughput.json for CI artifacts.
 //
 // Cold = the first submit against a fresh repository (spawns node
 // threads, reads every chunk from its disk file).  Warm = the average of
-// the following --iters identical submits (warm executor, hot cache).
+// the following --iters identical submits (warm executor from the pool,
+// hot cache when it is on).
 //
 // An overlapping-range section ablates the marginal cache: sliding
 // windows aligned to output-chunk boundaries, marginal cache on vs a
@@ -141,7 +141,6 @@ std::vector<Chunk> make_outputs() {
 
 struct ConfigResult {
   std::string name;
-  bool reuse_executor = false;
   bool cache = false;
   double cold_qps = 0.0;
   double warm_qps = 0.0;
@@ -156,16 +155,15 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-ConfigResult run_config(const Args& args, bool reuse_executor, bool cache,
+ConfigResult run_config(const Args& args, bool cache,
                         const std::filesystem::path& dir) {
   RepositoryConfig cfg;
   cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = reuse_executor;
   cfg.chunk_cache_bytes_per_node = cache ? (64ull << 20) : 0;
-  cfg.marginal_cache_bytes = 0;  // this matrix ablates executor + byte cache
+  cfg.marginal_cache_bytes = 0;  // this matrix ablates the byte cache
   Repository repo(cfg);
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), make_inputs());
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), make_outputs());
@@ -178,10 +176,8 @@ ConfigResult run_config(const Args& args, bool reuse_executor, bool cache,
   query.delivery = adr::OutputDelivery::kReturnToClient;
 
   ConfigResult r;
-  r.reuse_executor = reuse_executor;
   r.cache = cache;
-  r.name = std::string(reuse_executor ? "reuse" : "fresh") + "+" +
-           (cache ? "cache" : "nocache");
+  r.name = cache ? "cache" : "nocache";
 
   auto t0 = std::chrono::steady_clock::now();
   const QueryResult cold = repo.submit(query);
@@ -252,7 +248,6 @@ OverlapConfigResult run_overlap_config(const Args& args, bool with_marginal,
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 128ull << 10;
   cfg.marginal_cache_bytes = with_marginal ? (32ull << 20) : 0;
   Repository repo(cfg);
@@ -338,7 +333,6 @@ TelemetryOverheadResult run_telemetry_overhead(const Args& args,
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 64ull << 20;
   cfg.marginal_cache_bytes = 0;  // every warm pass does the same real work
   Repository repo(cfg);
@@ -400,7 +394,6 @@ OverloadResult run_overload(const Args& args, const std::filesystem::path& dir) 
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 64ull << 20;
   cfg.marginal_cache_bytes = 0;  // every query does the same real work
   Repository repo(cfg);
@@ -562,7 +555,6 @@ void write_trace_sample(const Args& args, const std::filesystem::path& dir) {
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 64ull << 20;
   Repository repo(cfg);
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), make_inputs());
@@ -607,13 +599,10 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(base);
 
   std::vector<ConfigResult> results;
-  int k = 0;
-  for (const bool reuse : {false, true}) {
-    for (const bool cache : {false, true}) {
-      const auto dir = base / ("cfg" + std::to_string(k++));
-      std::filesystem::create_directories(dir);
-      results.push_back(run_config(args, reuse, cache, dir));
-    }
+  for (const bool cache : {false, true}) {
+    const auto dir = base / (cache ? "cache" : "nocache");
+    std::filesystem::create_directories(dir);
+    results.push_back(run_config(args, cache, dir));
   }
   const OverlapResult overlap = run_overlap(args, base);
   TelemetryOverheadResult telemetry;
@@ -676,8 +665,7 @@ int main(int argc, char** argv) {
        << "  \"configs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    json << "    {\"name\": \"" << r.name << "\", \"reuse_executor\": "
-         << (r.reuse_executor ? "true" : "false")
+    json << "    {\"name\": \"" << r.name << "\""
          << ", \"cache\": " << (r.cache ? "true" : "false")
          << ", \"cold_qps\": " << r.cold_qps << ", \"warm_qps\": " << r.warm_qps
          << ", \"warm_over_cold\": " << r.warm_qps / r.cold_qps
@@ -714,7 +702,7 @@ int main(int argc, char** argv) {
        << ", \"ratio\": " << telemetry.ratio << "}\n}\n";
   std::cout << "wrote " << args.out_path << "\n";
 
-  // The acceptance bar: with both optimisations on, warm throughput must
+  // The acceptance bar: with the chunk cache on, warm throughput must
   // clear 1.5x cold.
   const auto& full = results.back();
   if (full.warm_qps < 1.5 * full.cold_qps) {

@@ -84,8 +84,14 @@ int main() {
     const QueryResult result = repo.submit(q);
 
     std::cout << "\n" << to_string(strategy) << ": tiles=" << result.tiles
-              << " ghost-chunks=" << result.ghost_chunks
-              << " msgs=" << result.stats.nodes[0].msgs_sent << "+...\n";
+              << " ghost-chunks=" << result.ghost_chunks;
+    // A repeat of an earlier range is answered whole from the marginal
+    // cache: no node ran, so there are no per-node stats to print.
+    if (result.stats.nodes.empty()) {
+      std::cout << " (served from the marginal cache)\n";
+    } else {
+      std::cout << " msgs=" << result.stats.nodes[0].msgs_sent << "+...\n";
+    }
     for (std::uint32_t o = 0; o < 4; ++o) {
       auto chunk = repo.read_chunk(summary, o);
       if (!chunk || chunk->payload().size() < 24) continue;

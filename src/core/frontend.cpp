@@ -147,22 +147,10 @@ void record_submit_success(QueryResult& result, double elapsed_s) {
 
 }  // namespace
 
-namespace {
-RepositoryConfig merge_runtime(RepositoryConfig config, const RuntimeConfig& runtime) {
-  runtime.check();
-  config.executor_pool_size = runtime.executor_pool_size;
-  return config;
-}
-}  // namespace
-
-Repository::Repository(const RepositoryConfig& config, const RuntimeConfig& runtime)
-    : Repository(merge_runtime(config, runtime)) {}
-
 Repository::Repository(const RepositoryConfig& config) : config_(config) {
   if (config_.num_nodes < 1 || config_.disks_per_node < 1) {
     throw std::invalid_argument("Repository: bad machine shape");
   }
-  executor_pool_limit_ = std::max<std::size_t>(1, config_.executor_pool_size);
   if (config_.storage_dir.empty()) {
     store_ = std::make_unique<MemoryChunkStore>(config_.total_disks());
   } else {
@@ -194,6 +182,10 @@ Repository::Repository(const RepositoryConfig& config) : config_(config) {
     invalidating_store_ = std::make_unique<MarginalInvalidatingStore>(
         cache_ ? static_cast<ChunkStore&>(*cache_) : *store_, *marginal_cache_);
   }
+  if (config_.backend == RepositoryConfig::Backend::kThreads) {
+    executor_pool_ = std::make_unique<ThreadExecutorPool>(
+        config_.num_nodes, config_.disks_per_node, &active_store());
+  }
 }
 
 ChunkCacheStats Repository::chunk_cache_stats() const {
@@ -204,36 +196,8 @@ MarginalCacheStats Repository::marginal_cache_stats() const {
   return marginal_cache_ ? marginal_cache_->stats() : MarginalCacheStats{};
 }
 
-ThreadExecutorPool& Repository::thread_pool() {
-  std::lock_guard lock(executor_pool_mutex_);
-  if (executor_pool_ == nullptr) {
-    executor_pool_ = std::make_unique<ThreadExecutorPool>(
-        config_.num_nodes, config_.disks_per_node, &active_store(),
-        executor_pool_limit_);
-  }
-  return *executor_pool_;
-}
-
 ThreadExecutorPool::Stats Repository::executor_pool_stats() const {
-  std::lock_guard lock(executor_pool_mutex_);
   return executor_pool_ ? executor_pool_->stats() : ThreadExecutorPool::Stats{};
-}
-
-void Repository::set_executor_pool_limit(std::size_t limit, bool warm) {
-  if (limit < 1) limit = 1;
-  ThreadExecutorPool* pool = nullptr;
-  {
-    std::lock_guard lock(executor_pool_mutex_);
-    executor_pool_limit_ = limit;
-    pool = executor_pool_.get();
-  }
-  // Pool calls happen outside executor_pool_mutex_: set_max_resident may
-  // join executor threads and prewarm spawns them — neither belongs
-  // under the lock concurrent submits take for every lease.
-  if (pool != nullptr) {
-    pool->set_max_resident(limit);
-    if (warm) pool->prewarm(limit);
-  }
 }
 
 std::uint32_t Repository::create_dataset(const std::string& name, const Rect& domain,
@@ -624,16 +588,11 @@ QueryResult Repository::execute_planned_locked(const Query& query,
     result.cost.cold_bytes = result.stats.total_bytes_read();
   } else {
     const ChunkCacheStats cache_before = cache_ ? cache_->stats() : ChunkCacheStats{};
-    if (config_.reuse_executor) {
+    {
       // Exclusive lease on a warm executor; released (kept resident)
       // when the lease leaves scope.
-      ThreadExecutorPool::Lease lease = thread_pool().acquire();
+      ThreadExecutorPool::Lease lease = executor_pool_->acquire();
       result.stats = execute_query(*lease, planned, prepared.all_inputs, *prepared.output,
-                                   prepared.op, costs, config_.disks_per_node, options);
-    } else {
-      ThreadExecutor executor(config_.num_nodes, config_.disks_per_node,
-                              &active_store());
-      result.stats = execute_query(executor, planned, prepared.all_inputs, *prepared.output,
                                    prepared.op, costs, config_.disks_per_node, options);
     }
     const std::array<obs::Histogram*, 4>& phase = submit_metrics().phase;

@@ -83,12 +83,6 @@ struct RepositoryConfig {
   /// Reattach to an existing file-backed farm instead of truncating it
   /// (pair with load_catalog() to restore the dataset metadata).
   bool open_existing = false;
-  /// Thread backend: serve submits from a persistent pool of warm node-
-  /// thread executors instead of spawning num_nodes threads per query.
-  bool reuse_executor = true;
-  /// Warm executors kept resident between submits (extra concurrent
-  /// submits still get fresh executors — acquisition never blocks).
-  std::size_t executor_pool_size = 2;
   /// Per-node byte budget for the cross-query chunk cache wrapped around
   /// the store on the thread backend (split evenly over the node's
   /// disks).  0 disables the cache.  The simulated backend never caches:
@@ -155,12 +149,6 @@ class Repository {
  public:
   explicit Repository(const RepositoryConfig& config);
 
-  /// RuntimeConfig overload: `runtime` is validated (throws
-  /// StatusError{kInvalidArgument}) and its executor_pool_size overrides
-  /// the RepositoryConfig field, so one struct carries every dynamic
-  /// knob (see core/runtime_config.hpp).
-  Repository(const RepositoryConfig& config, const RuntimeConfig& runtime);
-
   const RepositoryConfig& config() const { return config_; }
 
   AttributeSpaceService& attribute_spaces() { return spaces_; }
@@ -180,16 +168,8 @@ class Repository {
   /// Marginal-cache counters so far (zeros when disabled).
   MarginalCacheStats marginal_cache_stats() const;
 
-  /// Executor-pool counters so far (zeros before the first thread-backend
-  /// submit or when reuse_executor is off).
+  /// Executor-pool counters so far (zeros on the simulated backend).
   ThreadExecutorPool::Stats executor_pool_stats() const;
-
-  /// Moves the executor pool's resident cap at runtime (the adaptive
-  /// controller's scale actuator; clamped to >= 1).  `warm` additionally
-  /// constructs idle executors up to the new cap so the next burst does
-  /// not pay thread-spawn latency.  Takes effect immediately on a live
-  /// pool and seeds the lazily-created one otherwise.
-  void set_executor_pool_limit(std::size_t limit, bool warm = false);
 
   /// Loads a dataset (paper's four-step load) and returns its id.
   std::uint32_t create_dataset(const std::string& name, const Rect& domain,
@@ -275,11 +255,10 @@ class Repository {
   /// reduced) selection, metrics + trace spans included; failures become
   /// StatusError{kPlanRejected}.
   PlannedQuery plan_prepared(const Prepared& prepared, QuerySelection&& selection) const;
-  /// Executes a planned query on a pool lease (a fresh executor when
-  /// reuse_executor is off, the simulator on kSimulated).  `marginal`
-  /// non-null (and active) merges served partials into the delivery,
-  /// publishes the executed chunks' partials on success, and fills the
-  /// marginal_hits/marginal_misses attribution.
+  /// Executes a planned query on a pool lease (the simulator on
+  /// kSimulated).  `marginal` non-null (and active) merges served
+  /// partials into the delivery, publishes the executed chunks' partials
+  /// on success, and fills the marginal_hits/marginal_misses attribution.
   QueryResult execute_planned_locked(const Query& query, const Prepared& prepared,
                                      PlannedQuery&& planned, const ComputeCosts& costs,
                                      const ExecOptions& exec_options,
@@ -294,8 +273,6 @@ class Repository {
     if (invalidating_store_ != nullptr) return *invalidating_store_;
     return cache_ ? static_cast<const ChunkStore&>(*cache_) : *store_;
   }
-  /// Lazily creates the shared executor pool (thread backend only).
-  ThreadExecutorPool& thread_pool();
 
   RepositoryConfig config_;
   std::unique_ptr<ChunkStore> store_;
@@ -314,13 +291,9 @@ class Repository {
   mutable FairSharedMutex catalog_mutex_;
   std::map<std::uint32_t, Dataset> datasets_;
   std::uint32_t next_dataset_id_ = 0;
-  /// Lazily-created pool of warm thread executors shared by all submits.
-  mutable std::mutex executor_pool_mutex_;
+  /// Warm thread executors shared by all submits (thread backend only;
+  /// built empty with the repository, never replaced).
   std::unique_ptr<ThreadExecutorPool> executor_pool_;
-  /// Resident cap for the pool; starts at config_.executor_pool_size and
-  /// moves via set_executor_pool_limit() (guarded by executor_pool_mutex_
-  /// so it never races the pool's lazy construction).
-  std::size_t executor_pool_limit_ = 0;
 };
 
 /// Query submission service (paper Fig. 2): clients enqueue queries

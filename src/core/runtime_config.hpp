@@ -1,23 +1,18 @@
 // One validated configuration for the serving runtime.
 //
-// The serving tier's knobs: the executor pool cap, the scheduler's
-// worker count and max_pending, the connection cap, TelemetryOptions and
-// the adaptive controller's band.  RuntimeConfig carries them in a
-// single struct that Repository, QuerySubmissionService and AdrServer
-// all accept, with validate() catching inconsistent settings (empty
-// bands, inverted thresholds) once, up front, instead of as scattered
-// surprises at runtime.
+// The serving tier's knobs: the scheduler's worker count and
+// max_pending, the connection cap and TelemetryOptions.  RuntimeConfig
+// carries them in a single struct that QuerySubmissionService and
+// AdrServer accept, with validate() catching nonsense (zero workers, an
+// empty sampler ring) once, up front, instead of at runtime.
 //
 //   adr::RuntimeConfig rt;
-//   rt.executor_pool_size = 4;
-//   rt.adaptive.enabled = true;
-//   rt.adaptive.max_resident = 8;
+//   rt.scheduler_workers = 8;
 //   rt.check();                       // throws kInvalidArgument on nonsense
 //   adr::net::AdrServer server(repo, port, costs, rt);
 //
-// The pre-existing constructors survive as thin shims so older call
-// sites keep compiling; new code should prefer the RuntimeConfig
-// overloads.
+// The executor pool needs no knob: it keeps every executor a query
+// leased, so it grows to the peak number of concurrent queries.
 #pragma once
 
 #include <chrono>
@@ -25,12 +20,11 @@
 #include <cstdint>
 
 #include "common/status.hpp"
-#include "runtime/adaptive/controller.hpp"
 
 namespace adr {
 
 /// Background telemetry sampling for a serving process (the sampler
-/// ring behind /history, adr_top, and the adaptive controller).
+/// ring behind /history and adr_top).
 struct TelemetryOptions {
   /// Run the process-wide TelemetrySampler while the server runs.
   bool sampler = true;
@@ -43,10 +37,6 @@ struct TelemetryOptions {
 /// Every dynamic-runtime knob in one place.  Field defaults reproduce
 /// the historical constructor defaults of the components they feed.
 struct RuntimeConfig {
-  /// Warm executors kept resident between submits (the adaptive
-  /// controller moves the cap inside [adaptive.min_resident,
-  /// adaptive.max_resident] when enabled; this is the starting value).
-  std::size_t executor_pool_size = 2;
   /// Scheduler worker threads run by QuerySubmissionService/AdrServer.
   std::size_t scheduler_workers = 4;
   /// Accepted-but-unfinished query cap before enqueue blocks (or
@@ -56,7 +46,6 @@ struct RuntimeConfig {
   std::size_t max_connections = 64;
 
   TelemetryOptions telemetry;
-  AdaptiveOptions adaptive;
 
   /// Checks internal consistency; kInvalidArgument with a message
   /// naming the offending field on failure.

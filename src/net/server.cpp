@@ -75,20 +75,7 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
     : AdrServer((runtime.check(), repository), port, costs,
                 static_cast<int>(runtime.max_connections),
                 static_cast<int>(runtime.scheduler_workers), runtime.max_pending,
-                runtime.telemetry) {
-  if (runtime.adaptive.enabled) {
-    // Seed the pool at the band floor; the controller moves it from there.
-    repository_->set_executor_pool_limit(runtime.adaptive.min_resident,
-                                         runtime.adaptive.prewarm);
-    AdaptiveController::Actuators act;
-    const bool warm = runtime.adaptive.prewarm;
-    act.set_resident = [this, warm](std::size_t n) {
-      repository_->set_executor_pool_limit(n, warm);
-    };
-    adaptive_ =
-        std::make_unique<AdaptiveController>(runtime.adaptive, std::move(act));
-  }
-}
+                runtime.telemetry) {}
 
 AdrServer::~AdrServer() { stop(); }
 
@@ -113,9 +100,6 @@ void AdrServer::start() {
     loop_.post([this, ticket]() { finish_ticket(ticket); });
   });
   scheduler_.start(scheduler_workers_);
-  // The controller needs the sampler ring the lines above started; its
-  // tick thread no-ops until two samples exist.
-  if (adaptive_) adaptive_->start();
   loop_.start();
 }
 
@@ -128,8 +112,6 @@ void AdrServer::stop() {
   // Release the sampler ref taken in start() exactly once (stop() runs
   // again from the destructor).
   if (was_running && telemetry_.sampler) obs::sampler().stop();
-  // The controller must not actuate a scheduler that is tearing down.
-  if (adaptive_) adaptive_->stop();
   scheduler_.stop();
 }
 

@@ -44,11 +44,6 @@ namespace adr::net {
 struct WireResult;
 class HttpExpositionServer;
 
-/// Continuous-telemetry knobs (now adr::TelemetryOptions, defined in
-/// core/runtime_config.hpp so RuntimeConfig can carry it; this alias
-/// keeps the historical adr::net name compiling).
-using TelemetryOptions = adr::TelemetryOptions;
-
 class AdrServer {
  public:
   /// Binds to 127.0.0.1:`port` (0 = pick an ephemeral port).  `costs`
@@ -63,11 +58,8 @@ class AdrServer {
             const TelemetryOptions& telemetry = {});
 
   /// RuntimeConfig overload: one validated struct carries the
-  /// connection cap, scheduler shape, telemetry knobs and the adaptive
-  /// controller's band (core/runtime_config.hpp).  With
-  /// runtime.adaptive.enabled the server owns an AdaptiveController
-  /// that moves the repository's executor-pool cap from live sampler
-  /// signals for the server's lifetime.
+  /// connection cap, scheduler shape and telemetry knobs
+  /// (core/runtime_config.hpp).
   AdrServer(Repository& repository, std::uint16_t port, const ComputeCosts& costs,
             const RuntimeConfig& runtime);
   ~AdrServer();
@@ -109,10 +101,6 @@ class AdrServer {
   /// typed kDeadlineExceeded frame).
   std::uint64_t deadline_refusals() const { return deadline_refusals_.load(); }
 
-  /// The adaptive controller, or nullptr when the server was built
-  /// without one (legacy constructors / runtime.adaptive.enabled off).
-  const AdaptiveController* adaptive() const { return adaptive_.get(); }
-
  private:
   /// FrameLoop handler (loop thread): stats inline, queries to the
   /// scheduler, refusals with the retry-after hint.
@@ -139,9 +127,6 @@ class AdrServer {
   /// Routes every query; bounded by scheduler slots, shared by all
   /// connections.
   QuerySubmissionService scheduler_;
-  /// Feedback controller over the executor pool; non-null
-  /// only for the RuntimeConfig constructor with adaptive.enabled.
-  std::unique_ptr<AdaptiveController> adaptive_;
   const int scheduler_workers_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> served_{0};

@@ -27,16 +27,10 @@ PoolMetrics& pool_metrics() {
 }  // namespace
 
 ThreadExecutorPool::ThreadExecutorPool(int num_nodes, int disks_per_node,
-                                       ChunkStore* store, std::size_t max_resident)
-    : num_nodes_(num_nodes),
-      disks_per_node_(disks_per_node),
-      store_(store),
-      max_resident_(max_resident) {
+                                       ChunkStore* store)
+    : num_nodes_(num_nodes), disks_per_node_(disks_per_node), store_(store) {
   if (num_nodes_ < 1 || disks_per_node_ < 1) {
     throw std::invalid_argument("ThreadExecutorPool: bad machine shape");
-  }
-  if (max_resident_ < 1) {
-    throw std::invalid_argument("ThreadExecutorPool: max_resident must be >= 1");
   }
 }
 
@@ -73,56 +67,10 @@ ThreadExecutorPool::Lease ThreadExecutorPool::acquire() {
   return Lease(this, std::move(executor));
 }
 
-void ThreadExecutorPool::set_max_resident(std::size_t max_resident) {
-  if (max_resident < 1) max_resident = 1;
-  // Collect the excess under the lock, join their threads outside it.
-  std::vector<std::unique_ptr<ThreadExecutor>> excess;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    max_resident_ = max_resident;
-    while (idle_.size() > max_resident_) {
-      excess.push_back(std::move(idle_.back()));
-      idle_.pop_back();
-      pool_metrics().resident.add(-1);
-    }
-  }
-  excess.clear();
-}
-
-std::size_t ThreadExecutorPool::max_resident() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_resident_;
-}
-
-void ThreadExecutorPool::prewarm(std::size_t n) {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (idle_.size() >= n || idle_.size() >= max_resident_) return;
-    }
-    // Thread spawn outside the lock; re-check before inserting in case
-    // the cap moved or another prewarmer got there first.
-    auto executor =
-        std::make_unique<ThreadExecutor>(num_nodes_, disks_per_node_, store_);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (idle_.size() >= n || idle_.size() >= max_resident_) return;
-    ++created_;
-    idle_.push_back(std::move(executor));
-    pool_metrics().resident.add(1);
-  }
-}
-
 void ThreadExecutorPool::release(std::unique_ptr<ThreadExecutor> executor) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (idle_.size() < max_resident_) {
-      idle_.push_back(std::move(executor));
-      pool_metrics().resident.add(1);
-      return;
-    }
-  }
-  // Over the resident cap: destroy (joins node threads) outside the lock.
-  executor.reset();
+  std::lock_guard<std::mutex> lock(mutex_);
+  idle_.push_back(std::move(executor));
+  pool_metrics().resident.add(1);
 }
 
 ThreadExecutorPool::Stats ThreadExecutorPool::stats() const {
@@ -132,7 +80,6 @@ ThreadExecutorPool::Stats ThreadExecutorPool::stats() const {
   s.leases = leases_;
   s.reuses = reuses_;
   s.resident = idle_.size();
-  s.max_resident = max_resident_;
   return s;
 }
 

@@ -10,9 +10,9 @@
 //     the callers ask for, exactly as with per-query executors, so a
 //     query stalled inside the engine (e.g. a blocking aggregation)
 //     cannot deadlock unrelated queries.
-//   * A released executor is kept warm while at most `max_resident`
-//     are idle; beyond that it is destroyed (threads joined).  Steady
-//     traffic therefore converges on a small set of long-lived pools.
+//   * release() always keeps the executor warm.  A query runs only while
+//     a caller holds a lease, so the pool grows to the peak number of
+//     concurrent queries and stays there — no cap to tune.
 //
 // A lease is exclusive: two queries never interleave one executor's
 // barriers or sliding-window epochs.  Thread safety: acquire/release/
@@ -40,15 +40,12 @@ class ThreadExecutorPool {
     std::uint64_t reuses = 0;
     /// Warm executors currently idle in the pool.
     std::size_t resident = 0;
-    /// Current cap on idle executors (moved by set_max_resident()).
-    std::size_t max_resident = 0;
   };
 
   /// Executors are built as ThreadExecutor(num_nodes, disks_per_node,
   /// store); `store` may be null (metadata-only) and must outlive the
-  /// pool.  `max_resident` >= 1.
-  ThreadExecutorPool(int num_nodes, int disks_per_node, ChunkStore* store,
-                     std::size_t max_resident);
+  /// pool.  Construction spawns nothing; the first acquire() does.
+  ThreadExecutorPool(int num_nodes, int disks_per_node, ChunkStore* store);
   ~ThreadExecutorPool();
 
   ThreadExecutorPool(const ThreadExecutorPool&) = delete;
@@ -78,17 +75,6 @@ class ThreadExecutorPool {
   /// Never blocks: reuses a warm executor or constructs a fresh one.
   Lease acquire();
 
-  /// Moves the resident cap (clamped to >= 1).  Shrinking destroys the
-  /// now-excess idle executors (threads joined, outside the pool lock);
-  /// growing takes effect as executors are released back.  The adaptive
-  /// controller's scale actuator.
-  void set_max_resident(std::size_t max_resident);
-  std::size_t max_resident() const;
-
-  /// Constructs idle executors up to min(n, max_resident) so a scale-up
-  /// decision pays the thread-spawn cost here, off the query path.
-  void prewarm(std::size_t n);
-
   Stats stats() const;
 
  private:
@@ -100,8 +86,6 @@ class ThreadExecutorPool {
   ChunkStore* const store_;
 
   mutable std::mutex mutex_;
-  /// Idle cap; dynamic since the adaptive controller (guarded by mutex_).
-  std::size_t max_resident_;
   std::vector<std::unique_ptr<ThreadExecutor>> idle_;
   std::uint64_t created_ = 0;
   std::uint64_t leases_ = 0;

@@ -199,7 +199,7 @@ TEST(ChunkCache, ConcurrentGetsAccountEveryAccess) {
 
 TEST(ExecutorPool, WarmExecutorIsReusedNotRespawned) {
   ThreadExecutorPool pool(/*num_nodes=*/2, /*disks_per_node=*/1,
-                          /*store=*/nullptr, /*max_resident=*/2);
+                          /*store=*/nullptr);
   { auto lease = pool.acquire(); }  // build + return one executor
   ThreadExecutorPool::Stats s = pool.stats();
   EXPECT_EQ(s.created, 1u);
@@ -216,14 +216,14 @@ TEST(ExecutorPool, WarmExecutorIsReusedNotRespawned) {
 }
 
 TEST(ExecutorPool, AcquireNeverBlocksUnderContention) {
-  ThreadExecutorPool pool(2, 1, nullptr, /*max_resident=*/1);
+  ThreadExecutorPool pool(2, 1, nullptr);
   {
     auto a = pool.acquire();
     auto b = pool.acquire();  // pool empty: constructs rather than waits
     EXPECT_EQ(pool.stats().created, 2u);
   }
-  // Only max_resident stay warm; the extra executor was destroyed.
-  EXPECT_EQ(pool.stats().resident, 1u);
+  // Both stay warm: the pool keeps every executor it built.
+  EXPECT_EQ(pool.stats().resident, 2u);
 }
 
 // ------------------------------------------------- Repository-level
@@ -318,7 +318,6 @@ TEST(ChunkCache, RepeatedQueryRunsWarmOnReusedExecutor) {
 TEST(ChunkCache, DisabledCacheKeepsSeedBehaviour) {
   RepositoryConfig cfg = cached_thread_config();
   cfg.chunk_cache_bytes_per_node = 0;  // opt out
-  cfg.reuse_executor = false;          // seed: fresh executor per submit
   Repository repo(cfg);
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0),
                                       grid_chunks(4, 2));
@@ -328,7 +327,6 @@ TEST(ChunkCache, DisabledCacheKeepsSeedBehaviour) {
   const QueryResult r1 = repo.submit(sum_query(in, out));
   const QueryResult r2 = repo.submit(sum_query(in, out));
   EXPECT_EQ(r2.cache_hits, 0u);
-  EXPECT_EQ(repo.executor_pool_stats().created, 0u);  // pool never built
   ASSERT_EQ(r1.outputs.size(), r2.outputs.size());
   for (std::size_t i = 0; i < r1.outputs.size(); ++i) {
     EXPECT_EQ(r1.outputs[i].payload(), r2.outputs[i].payload());

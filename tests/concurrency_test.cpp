@@ -198,6 +198,10 @@ struct Gate {
     open = true;
     cv.notify_all();
   }
+  void close() {
+    std::lock_guard lock(mutex);
+    open = false;
+  }
   void pass() {
     std::unique_lock lock(mutex);
     cv.wait(lock, [this]() { return open; });
@@ -365,6 +369,45 @@ TEST(SubmissionPool, EnqueueAppliesBackPressure) {
   service.drain();
   EXPECT_EQ(service.pending(), 0u);
   service.stop();
+}
+
+TEST(SubmissionPool, WorkersReuseTheirExecutors) {
+  // Two waves of four queries, each wave held open at the gate until all
+  // four hold a lease: the pool grows to the peak concurrency once and
+  // serves the second wave from the executors the first one built.
+  RepositoryConfig cfg = thread_config(2);
+  cfg.marginal_cache_bytes = 0;  // wave 2 must execute, not hit partials
+  Repository repo(cfg);
+  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 1));
+  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
+  auto gate = std::make_shared<Gate>();
+  repo.aggregations().register_op(std::make_shared<GatedCountOp>(gate));
+
+  QuerySubmissionService service(repo);
+  service.start(4);
+  Query gated = variant_query(in, out, 3);
+  gated.aggregation = "gated-count";
+  for (std::uint64_t wave = 1; wave <= 2; ++wave) {
+    gate->close();
+    std::vector<std::uint64_t> tickets;
+    for (std::uint64_t client = 1; client <= 4; ++client) {
+      tickets.push_back(service.enqueue(gated, {}, client));
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (repo.executor_pool_stats().leases < 4 * wave &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const std::uint64_t leased = repo.executor_pool_stats().leases;
+    gate->release();  // before any assert: a closed gate would hang stop()
+    ASSERT_EQ(leased, 4 * wave);
+    for (const std::uint64_t t : tickets) ASSERT_TRUE(service.take(t).ok());
+  }
+  service.stop();
+  const ThreadExecutorPool::Stats stats = repo.executor_pool_stats();
+  EXPECT_EQ(stats.created, 4u);
+  EXPECT_EQ(stats.reuses, 4u);
+  EXPECT_EQ(stats.resident, 4u);
 }
 
 TEST(SubmissionPool, FailedQueryYieldsErrorNotResult) {

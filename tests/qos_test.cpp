@@ -267,39 +267,33 @@ TEST(RuntimeConfig, ValidateCatchesBadKnobs) {
   EXPECT_TRUE(RuntimeConfig{}.validate().ok());
 
   RuntimeConfig bad;
-  bad.executor_pool_size = 0;
+  bad.scheduler_workers = 0;
   EXPECT_FALSE(bad.validate().ok());
   EXPECT_EQ(bad.validate().code, StatusCode::kInvalidArgument);
   EXPECT_THROW(bad.check(), StatusError);
 
-  RuntimeConfig inverted;
-  inverted.adaptive.min_resident = 8;
-  inverted.adaptive.max_resident = 2;
-  EXPECT_FALSE(inverted.validate().ok());
+  RuntimeConfig no_pending;
+  no_pending.max_pending = 0;
+  EXPECT_FALSE(no_pending.validate().ok());
 
-  RuntimeConfig thresholds;
-  thresholds.adaptive.depth_low_per_executor = 3.0;
-  thresholds.adaptive.depth_high_per_executor = 2.0;
-  EXPECT_FALSE(thresholds.validate().ok());
+  RuntimeConfig no_connections;
+  no_connections.max_connections = 0;
+  EXPECT_FALSE(no_connections.validate().ok());
 
-  // Adaptive enabled: the static pool size must not exceed the band cap,
-  // or the controller's first decision would tear down warm executors.
-  RuntimeConfig mismatched;
-  mismatched.adaptive.enabled = true;
-  mismatched.adaptive.max_resident = 2;
-  mismatched.executor_pool_size = 4;
-  EXPECT_FALSE(mismatched.validate().ok());
-  mismatched.executor_pool_size = 2;
-  EXPECT_TRUE(mismatched.validate().ok());
+  RuntimeConfig empty_ring;
+  empty_ring.telemetry.sample_capacity = 0;
+  EXPECT_FALSE(empty_ring.validate().ok());
+
+  RuntimeConfig still_sampler;
+  still_sampler.telemetry.sample_period = std::chrono::milliseconds{0};
+  EXPECT_FALSE(still_sampler.validate().ok());
 }
 
 TEST(RuntimeConfig, RepositoryAndServiceAdoptKnobs) {
   RuntimeConfig runtime;
-  runtime.executor_pool_size = 3;
   runtime.max_pending = 2;
 
-  Repository repo(thread_config(2), runtime);
-  EXPECT_EQ(repo.config().executor_pool_size, 3u);
+  Repository repo(thread_config(2));
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(2, 1));
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
 
@@ -317,33 +311,14 @@ TEST(RuntimeConfig, RepositoryAndServiceAdoptKnobs) {
   RuntimeConfig invalid;
   invalid.scheduler_workers = 0;
   EXPECT_THROW(QuerySubmissionService(repo, invalid), StatusError);
-}
+  EXPECT_THROW(net::AdrServer(repo, 0, ComputeCosts{}, invalid), StatusError);
 
-TEST(RuntimeConfig, ServerRunsWithAdaptiveController) {
-  Repository repo(thread_config(2));
-  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 1));
-  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
-
-  RuntimeConfig runtime;
-  runtime.executor_pool_size = 1;
-  runtime.adaptive.enabled = true;
-  runtime.adaptive.min_resident = 1;
-  runtime.adaptive.max_resident = 2;
-  runtime.adaptive.tick = std::chrono::milliseconds{50};
-  runtime.telemetry.sample_period = std::chrono::milliseconds{50};
-  ASSERT_TRUE(runtime.validate().ok());
-
+  // The server built from the same struct serves queries.
   net::AdrServer server(repo, 0, ComputeCosts{}, runtime);
-  ASSERT_NE(server.adaptive(), nullptr);
   server.start();
   net::AdrClient client(server.port());
-  for (int i = 0; i < 3; ++i) {
-    const net::WireResult r = client.submit(basic_query(in, out));
-    ASSERT_TRUE(r.ok()) << r.error();
-  }
-  // The controller started from the band floor and the pool obeys it.
-  EXPECT_GE(server.adaptive()->resident(), 1u);
-  EXPECT_LE(server.adaptive()->resident(), 2u);
+  const net::WireResult r = client.submit(basic_query(in, out));
+  EXPECT_TRUE(r.ok()) << r.error();
   server.stop();
 }
 

@@ -484,7 +484,7 @@ struct E2EFixture : CostFixture {
   E2EFixture()
       : server(repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/16,
                /*scheduler_workers=*/2, /*max_pending=*/64, [] {
-                 net::TelemetryOptions t;
+                 adr::TelemetryOptions t;
                  t.sample_period = std::chrono::milliseconds(20);
                  t.sample_capacity = 128;
                  t.http_port = 0;  // ephemeral

@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     const auto sensors = repo.create_dataset("sensors", domain, sensor_chunks());
     const auto summary = repo.create_dataset("summary", domain, summary_chunks());
 
-    net::TelemetryOptions telemetry;
+    adr::TelemetryOptions telemetry;
     telemetry.sample_period = std::chrono::milliseconds(period_ms);
     telemetry.http_port = http_port;
     net::AdrServer server(repo, port, ComputeCosts{}, /*max_connections=*/64,
