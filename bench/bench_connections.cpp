@@ -233,9 +233,10 @@ int main(int argc, char** argv) {
   query.aggregation = "sum-count-max";
   query.delivery = adr::OutputDelivery::kReturnToClient;
 
-  adr::net::AdrServer server(repo, /*port=*/0, {},
-                             /*max_connections=*/args.max_conns + 64,
-                             /*scheduler_workers=*/2, /*max_pending=*/256);
+  adr::net::AdrServer server(
+      repo, /*port=*/0, {},
+      {.scheduler_workers = 2,
+       .max_connections = static_cast<std::size_t>(args.max_conns) + 64});
   server.start();
 
   const std::uint64_t wakeups_before =

@@ -113,8 +113,8 @@ struct Backend {
     spec.datasets = kDatasets;
     ids = adr::create_grid_datasets(repo, spec);
     server = std::make_unique<adr::net::AdrServer>(
-        repo, /*port=*/0, adr::ComputeCosts{}, /*max_connections=*/64,
-        /*scheduler_workers=*/1);
+        repo, /*port=*/0, adr::ComputeCosts{},
+        adr::RuntimeConfig{.scheduler_workers = 1});
     server->start();
   }
   ~Backend() { server->stop(); }

@@ -3,7 +3,6 @@
 
 #include "common/random.hpp"
 #include "storage/rtree.hpp"
-#include "storage/spatial_index.hpp"
 
 namespace {
 
@@ -34,31 +33,6 @@ void BM_RTreeBulkLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RTreeBulkLoad)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_GridIndexBuild(benchmark::State& state) {
-  const auto rects = make_rects(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    adr::GridIndex index;
-    index.build(rects);
-    benchmark::DoNotOptimize(index.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GridIndexBuild)->Arg(10000)->Arg(100000);
-
-void BM_GridIndexQuery(benchmark::State& state) {
-  const auto rects = make_rects(static_cast<int>(state.range(0)));
-  adr::GridIndex index;
-  index.build(rects);
-  Rng rng(7);
-  for (auto _ : state) {
-    const double x = rng.uniform(0.0, 900.0);
-    const double y = rng.uniform(0.0, 900.0);
-    const Rect q(Point{x, y}, Point{x + 50.0, y + 50.0});
-    benchmark::DoNotOptimize(index.query(q));
-  }
-}
-BENCHMARK(BM_GridIndexQuery)->Arg(10000)->Arg(100000);
 
 void BM_RTreeQuery(benchmark::State& state) {
   const auto rects = make_rects(static_cast<int>(state.range(0)));

@@ -103,13 +103,13 @@ int cmd_datasets(const std::map<std::string, std::string>& flags) {
   const std::filesystem::path dir = flags.at("dir");
   Repository repo(farm_config(dir, true));
   repo.load_catalog(dir / "catalog.txt");
-  Table table({"id", "name", "chunks", "bytes", "dims", "index"});
+  Table table({"id", "name", "chunks", "bytes", "dims"});
   for (std::uint32_t id = 0; id < repo.num_datasets(); ++id) {
     const Dataset& ds = repo.dataset(id);
     table.add_row({std::to_string(ds.id()), ds.name(),
                    std::to_string(ds.num_chunks()),
                    fmt_bytes(static_cast<double>(ds.total_bytes())),
-                   std::to_string(ds.domain().dims()), ds.index()->name()});
+                   std::to_string(ds.domain().dims())});
   }
   table.print(std::cout);
   return 0;

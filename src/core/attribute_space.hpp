@@ -3,8 +3,10 @@
 // Manages the registration of multi-dimensional attribute spaces and of
 // user-defined mapping functions between them (paper section 2.1).  A
 // MapFunction projects regions of the input dataset's attribute space into
-// the output dataset's space; the planner composes it with the output
-// R-tree to obtain the chunk-level input->output mapping.
+// the output dataset's space; the planner buckets the selected output
+// chunks into a uniform lattice and tests each projected input against
+// its cells to obtain the chunk-level input->output mapping
+// (core/planner/mapping.hpp).
 #pragma once
 
 #include <memory>

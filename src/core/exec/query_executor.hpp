@@ -49,7 +49,8 @@ struct ExecOptions {
   /// Charge the initialization-phase output read + ghost broadcast
   /// (paper Fig. 7 "communication for replicated output blocks").
   bool init_from_output = true;
-  /// Write final output chunks back to the disk farm.
+  /// Write final output chunks back to the disk farm.  Repository::submit
+  /// overrides it (and output_sink) from Query::delivery.
   bool write_output = true;
   /// CPU throughput of the messaging software stack: every sent and
   /// received byte costs CPU time at this rate on its endpoint (the SP's

@@ -210,12 +210,8 @@ std::uint32_t Repository::create_dataset(const std::string& name, const Rect& do
   options.decluster.num_disks = config_.total_disks();
   options.store_payloads = config_.store_payloads;
   Dataset ds = load_dataset(id, name, domain, std::move(chunks), active_store(), options);
-  if (config_.index != "rtree") {
-    ds.build_index(indices_.create(config_.index));
-  }
   ADR_INFO("loaded dataset '" << name << "' id=" << id << " chunks=" << ds.num_chunks()
-                              << " bytes=" << ds.total_bytes() << " index="
-                              << ds.index()->name());
+                              << " bytes=" << ds.total_bytes());
   datasets_.emplace(id, std::move(ds));
   return id;
 }
@@ -453,8 +449,7 @@ Repository::MarginalConsult Repository::consult_marginals_locked(
 
 QueryResult Repository::finalize_from_cache_locked(const Query& query,
                                                    const Prepared& prepared,
-                                                   MarginalConsult& consult,
-                                                   const ExecOptions& exec_options) {
+                                                   MarginalConsult& consult) {
   QueryResult result;
   // No plan ran; report the requested strategy (kAuto never chose one).
   result.strategy =
@@ -463,19 +458,15 @@ QueryResult Repository::finalize_from_cache_locked(const Query& query,
   result.cost.marginal_chunks = consult.hits.size();
   result.cost.marginal_bytes_saved = consult.bytes_saved;
 
-  const OutputDelivery delivery =
-      query.write_output ? query.delivery : OutputDelivery::kDiscard;
   bool wrote_back = false;
   for (auto& [orig, partial] : consult.hits) {
     const ChunkMeta& meta =
         prepared.output->chunk(consult.original.selected_outputs[orig]);
     std::vector<std::byte> payload = prepared.op->output(meta, partial);
-    switch (delivery) {
+    switch (query.delivery) {
       case OutputDelivery::kWriteBack:
-        if (exec_options.write_output) {
-          active_store().put(Chunk(meta, std::move(payload)));
-          wrote_back = true;
-        }
+        active_store().put(Chunk(meta, std::move(payload)));
+        wrote_back = true;
         break;
       case OutputDelivery::kReturnToClient:
         result.outputs.emplace_back(meta, std::move(payload));
@@ -512,11 +503,10 @@ QueryResult Repository::execute_planned_locked(const Query& query,
   // Output delivery: write back, return to the client, or discard.
   std::mutex sink_mutex;
   std::vector<Chunk> delivered;
-  const OutputDelivery delivery =
-      query.write_output ? query.delivery : OutputDelivery::kDiscard;
+  const OutputDelivery delivery = query.delivery;
   switch (delivery) {
     case OutputDelivery::kWriteBack:
-      options.write_output = options.write_output && true;
+      options.write_output = true;
       break;
     case OutputDelivery::kReturnToClient:
       options.write_output = false;
@@ -541,8 +531,7 @@ QueryResult Repository::execute_planned_locked(const Query& query,
       if (cache != nullptr) cache->invalidate_data(dataset);
     }
   } write_invalidate;
-  if (marginal_cache_ != nullptr && delivery == OutputDelivery::kWriteBack &&
-      options.write_output) {
+  if (marginal_cache_ != nullptr && delivery == OutputDelivery::kWriteBack) {
     write_invalidate.cache = marginal_cache_.get();
     write_invalidate.dataset = query.output_dataset;
   }
@@ -643,9 +632,7 @@ QueryResult Repository::execute_planned_locked(const Query& query,
       std::vector<std::byte> payload = prepared.op->output(meta, partial);
       switch (delivery) {
         case OutputDelivery::kWriteBack:
-          if (options.write_output) {
-            active_store().put(Chunk(meta, std::move(payload)));
-          }
+          active_store().put(Chunk(meta, std::move(payload)));
           break;
         case OutputDelivery::kReturnToClient: {
           std::lock_guard<std::mutex> lock(sink_mutex);
@@ -692,7 +679,7 @@ QueryResult Repository::submit_locked(const Query& query, const ComputeCosts& co
   Prepared prepared = prepare_locked(query, costs);
   MarginalConsult consult = consult_marginals_locked(prepared);
   if (consult.fully_cached) {
-    return finalize_from_cache_locked(query, prepared, consult, exec_options);
+    return finalize_from_cache_locked(query, prepared, consult);
   }
   PlannedQuery planned =
       plan_prepared(prepared, std::move(consult.reduced));
@@ -787,57 +774,37 @@ bool QuerySubmissionService::ticket_pending_locked(std::uint64_t ticket) const {
   return false;
 }
 
+namespace {
+
+QuerySubmissionService::Outcome not_found(const char* why) {
+  return {Status::make(StatusCode::kNotFound, why), {}};
+}
+
+}  // namespace
+
 QuerySubmissionService::Outcome QuerySubmissionService::take(std::uint64_t ticket) {
   std::unique_lock lock(mutex_);
-  Outcome out;
-  if (ticket == 0 || ticket >= next_ticket_) {
-    out.status = Status::make(StatusCode::kNotFound, "unknown ticket");
-    return out;
-  }
+  if (ticket == 0 || ticket >= next_ticket_) return not_found("unknown ticket");
   // Wake on finish *or* on the ticket vanishing (another take() already
-  // drained it) — waiting only on the outcome maps would block forever
+  // drained it) — waiting only on the outcome map would block forever
   // for a ticket taken twice.
   done_cv_.wait(lock, [&]() {
-    return results_.contains(ticket) || errors_.contains(ticket) ||
-           !ticket_pending_locked(ticket);
+    return outcomes_.contains(ticket) || !ticket_pending_locked(ticket);
   });
-  if (auto it = results_.find(ticket); it != results_.end()) {
-    out.result = std::move(it->second);
-    results_.erase(it);
-    // A second waiter on this ticket must wake and observe it gone.
-    done_cv_.notify_all();
-  } else if (auto eit = errors_.find(ticket); eit != errors_.end()) {
-    out.status = std::move(eit->second);
-    errors_.erase(eit);
-    done_cv_.notify_all();
-  } else {
-    out.status = Status::make(StatusCode::kNotFound, "ticket already taken");
-  }
-  return out;
+  auto node = outcomes_.extract(ticket);
+  if (node.empty()) return not_found("ticket already taken");
+  // A second waiter on this ticket must wake and observe it gone.
+  done_cv_.notify_all();
+  return std::move(node.mapped());
 }
 
 std::optional<QuerySubmissionService::Outcome> QuerySubmissionService::try_take(
     std::uint64_t ticket) {
   std::lock_guard lock(mutex_);
-  Outcome out;
-  if (ticket == 0 || ticket >= next_ticket_) {
-    out.status = Status::make(StatusCode::kNotFound, "unknown ticket");
-    return out;
-  }
-  if (auto it = results_.find(ticket); it != results_.end()) {
-    out.result = std::move(it->second);
-    results_.erase(it);
-    return out;
-  }
-  if (auto it = errors_.find(ticket); it != errors_.end()) {
-    out.status = std::move(it->second);
-    errors_.erase(it);
-    return out;
-  }
-  if (!ticket_pending_locked(ticket)) {
-    out.status = Status::make(StatusCode::kNotFound, "ticket already taken");
-    return out;
-  }
+  if (ticket == 0 || ticket >= next_ticket_) return not_found("unknown ticket");
+  auto node = outcomes_.extract(ticket);
+  if (!node.empty()) return std::move(node.mapped());
+  if (!ticket_pending_locked(ticket)) return not_found("ticket already taken");
   return std::nullopt;  // still queued or running
 }
 
@@ -871,11 +838,7 @@ bool QuerySubmissionService::pop_runnable(Pending& out) {
 
 void QuerySubmissionService::finish_locked(std::uint64_t ticket, std::uint64_t client,
                                            Outcome&& outcome) {
-  if (outcome.ok()) {
-    results_.emplace(ticket, std::move(outcome.result));
-  } else {
-    errors_.emplace(ticket, std::move(outcome.status));
-  }
+  outcomes_.emplace(ticket, std::move(outcome));
   busy_clients_.erase(client);
   running_.erase(ticket);
   --in_flight_;
@@ -1062,7 +1025,6 @@ std::size_t Repository::load_catalog(const std::filesystem::path& path) {
     }
     const std::uint32_t id = ds.id();
     next_dataset_id_ = std::max(next_dataset_id_, id + 1);
-    if (config_.index != "rtree") ds.build_index(indices_.create(config_.index));
     // Replacing a dataset changes both what its chunks contain and what
     // its chunk indices *mean*: kill partials keyed on it as input
     // (data version) and as output (shape version).

@@ -74,9 +74,6 @@ struct RepositoryConfig {
   sim::ClusterConfig machine = sim::ibm_sp_profile(4);
   /// Keep chunk payloads in the store (false = metadata-only).
   bool store_payloads = true;
-  /// Index built over each dataset's chunk MBRs ("rtree", "grid", or a
-  /// name registered with Repository::indices()).
-  std::string index = "rtree";
   /// Non-empty: back the disk farm with files under this directory
   /// (FileChunkStore) instead of memory.
   std::filesystem::path storage_dir;
@@ -153,7 +150,6 @@ class Repository {
 
   AttributeSpaceService& attribute_spaces() { return spaces_; }
   AggregationService& aggregations() { return aggregations_; }
-  IndexRegistry& indices() { return indices_; }
   /// The store every component reads and writes through: the caching
   /// decorator when the chunk cache is enabled, else the raw farm.
   ChunkStore& store() { return active_store(); }
@@ -249,8 +245,7 @@ class Repository {
   /// Finalizes a fully-cached query straight from served partials: no
   /// plan, no executor, only op->output per chunk plus delivery.
   QueryResult finalize_from_cache_locked(const Query& query, const Prepared& prepared,
-                                         MarginalConsult& consult,
-                                         const ExecOptions& exec_options);
+                                         MarginalConsult& consult);
   /// Runs the planning service's second phase on the consult's (possibly
   /// reduced) selection, metrics + trace spans included; failures become
   /// StatusError{kPlanRejected}.
@@ -286,7 +281,6 @@ class Repository {
   std::unique_ptr<MarginalInvalidatingStore> invalidating_store_;
   AttributeSpaceService spaces_;
   AggregationService aggregations_;
-  IndexRegistry indices_;
   /// Guards datasets_ and next_dataset_id_ (see class comment).
   mutable FairSharedMutex catalog_mutex_;
   std::map<std::uint32_t, Dataset> datasets_;
@@ -456,8 +450,8 @@ class QuerySubmissionService {
   std::unordered_set<std::uint64_t> running_;
   std::size_t in_flight_ = 0;
   std::uint64_t completed_ = 0;
-  std::map<std::uint64_t, QueryResult> results_;
-  std::map<std::uint64_t, Status> errors_;
+  /// Finished outcomes not yet taken, by ticket.
+  std::map<std::uint64_t, Outcome> outcomes_;
   std::uint64_t next_ticket_ = 1;
   /// EWMA of recent per-query execution wall seconds (atomic double
   /// bits; updated outside mutex_ after each run).  Feeds the predictive

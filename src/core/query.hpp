@@ -56,9 +56,6 @@ struct Query {
   StrategyKind strategy = StrategyKind::kFRA;
   TilingOrder tiling_order = TilingOrder::kHilbert;
   OutputDelivery delivery = OutputDelivery::kWriteBack;
-  /// Legacy switch: when false, behaves as kDiscard regardless of
-  /// `delivery`.
-  bool write_output = true;
   std::uint64_t seed = 1;  // for kRandom tiling order
 };
 

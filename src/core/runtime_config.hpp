@@ -45,7 +45,7 @@ struct RuntimeConfig {
   /// Concurrent connection cap for AdrServer.
   std::size_t max_connections = 64;
 
-  TelemetryOptions telemetry;
+  TelemetryOptions telemetry{};
 
   /// Checks internal consistency; kInvalidArgument with a message
   /// naming the offending field on failure.

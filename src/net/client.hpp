@@ -102,7 +102,7 @@ class AdrClient {
   WireResult submit(const Query& query, const ExecOptions& options = {});
 
   /// Qos-taking overload: `qos` (deadline, priority, drop-on-expiry)
-  /// rides in the query's exec options across the wire (v6 frames carry
+  /// rides in the query's exec options across the wire (query frames carry
   /// it as deadline-remaining ms) and additionally caps the retry loop —
   /// no retry is attempted that could not complete before the deadline,
   /// and kDeadlineExceeded answers are never retried.

@@ -39,15 +39,13 @@ ServerMetrics& server_metrics() {
 }  // namespace
 
 AdrServer::AdrServer(Repository& repository, std::uint16_t port,
-                     const ComputeCosts& costs, int max_connections,
-                     int scheduler_workers, std::size_t max_pending,
-                     const TelemetryOptions& telemetry)
-    : repository_(&repository),
+                     const ComputeCosts& costs, const RuntimeConfig& runtime)
+    : repository_((runtime.check(), &repository)),
       costs_(costs),
-      telemetry_(telemetry),
-      scheduler_(repository, max_pending),
-      scheduler_workers_(scheduler_workers),
-      loop_("server", port, max_connections,
+      telemetry_(runtime.telemetry),
+      scheduler_(repository, runtime.max_pending),
+      scheduler_workers_(static_cast<int>(runtime.scheduler_workers)),
+      loop_("server", port, static_cast<int>(runtime.max_connections),
             FrameLoop::Handler{
                 [this](FrameLoop::Slot slot, std::vector<std::byte> payload) {
                   on_frame(slot, std::move(payload));
@@ -58,24 +56,11 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
                   busy.retry_after_ms = retry_after_hint_ms();
                   return encode_result(busy);
                 }}) {
-  if (max_connections < 1) {
-    throw std::invalid_argument("AdrServer: max_connections must be >= 1");
-  }
-  if (scheduler_workers_ < 1) {
-    throw std::invalid_argument("AdrServer: scheduler_workers must be >= 1");
-  }
   if (telemetry_.http_port >= 0) {
     http_ = std::make_unique<HttpExpositionServer>(
         static_cast<std::uint16_t>(telemetry_.http_port));
   }
 }
-
-AdrServer::AdrServer(Repository& repository, std::uint16_t port,
-                     const ComputeCosts& costs, const RuntimeConfig& runtime)
-    : AdrServer((runtime.check(), repository), port, costs,
-                static_cast<int>(runtime.max_connections),
-                static_cast<int>(runtime.scheduler_workers), runtime.max_pending,
-                runtime.telemetry) {}
 
 AdrServer::~AdrServer() { stop(); }
 

@@ -48,20 +48,14 @@ class AdrServer {
  public:
   /// Binds to 127.0.0.1:`port` (0 = pick an ephemeral port).  `costs`
   /// are the compute charges applied to every submitted query.
-  /// `max_connections` bounds concurrently served clients;
-  /// `scheduler_workers` bounds concurrently *executing* queries and
-  /// `max_pending` bounds accepted-but-unfinished queries (beyond it,
-  /// submits are refused with a "server busy" frame).
-  AdrServer(Repository& repository, std::uint16_t port,
-            const ComputeCosts& costs = {}, int max_connections = 64,
-            int scheduler_workers = 4, std::size_t max_pending = 256,
-            const TelemetryOptions& telemetry = {});
-
-  /// RuntimeConfig overload: one validated struct carries the
-  /// connection cap, scheduler shape and telemetry knobs
-  /// (core/runtime_config.hpp).
-  AdrServer(Repository& repository, std::uint16_t port, const ComputeCosts& costs,
-            const RuntimeConfig& runtime);
+  /// `runtime` (validated here; StatusError{kInvalidArgument} on
+  /// nonsense) carries the rest: max_connections bounds concurrently
+  /// served clients, scheduler_workers bounds concurrently *executing*
+  /// queries, max_pending bounds accepted-but-unfinished queries (beyond
+  /// it, submits are refused with a "server busy" frame), and telemetry
+  /// configures the sampler and the HTTP endpoint.
+  AdrServer(Repository& repository, std::uint16_t port, const ComputeCosts& costs = {},
+            const RuntimeConfig& runtime = {});
   ~AdrServer();
 
   AdrServer(const AdrServer&) = delete;

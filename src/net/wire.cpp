@@ -13,13 +13,12 @@ constexpr std::uint8_t kResultTag = 0x52;       // 'R'
 constexpr std::uint8_t kStatsRequestTag = 0x53; // 'S'
 constexpr std::uint8_t kStatsReplyTag = 0x54;   // 'T'
 // The one protocol version encoded and decoded (see wire.hpp).
-constexpr std::uint8_t kVersion = 6;
+constexpr std::uint8_t kVersion = 7;
 
 // Exec-option flag bits (query frames).
 constexpr std::uint8_t kOptInitFromOutput = 1u << 0;
-constexpr std::uint8_t kOptWriteOutput = 1u << 1;
-constexpr std::uint8_t kOptPipelineTiles = 1u << 2;
-constexpr std::uint8_t kOptRecordTrace = 1u << 3;
+constexpr std::uint8_t kOptPipelineTiles = 1u << 1;
+constexpr std::uint8_t kOptRecordTrace = 1u << 2;
 
 // Qos flag bits (query frames).
 constexpr std::uint8_t kQosHasDeadline = 1u << 0;
@@ -156,13 +155,12 @@ std::vector<std::byte> encode_query(const Query& query, const ExecOptions& optio
   w.u8(static_cast<std::uint8_t>(query.strategy));
   w.u8(static_cast<std::uint8_t>(query.tiling_order));
   w.u8(static_cast<std::uint8_t>(query.delivery));
-  w.u8(query.write_output ? 1 : 0);
   w.u64(query.seed);
   // The exec options travel with the query (output_sink is a local
-  // callback and cannot cross the wire).
+  // callback and cannot cross the wire; write_output follows from
+  // query.delivery on the serving side).
   std::uint8_t flags = 0;
   if (options.init_from_output) flags |= kOptInitFromOutput;
-  if (options.write_output) flags |= kOptWriteOutput;
   if (options.pipeline_tiles) flags |= kOptPipelineTiles;
   if (options.record_trace) flags |= kOptRecordTrace;
   w.u8(flags);
@@ -204,11 +202,9 @@ WireQuery decode_query_frame(std::span<const std::byte> payload) {
   q.strategy = static_cast<StrategyKind>(r.u8());
   q.tiling_order = static_cast<TilingOrder>(r.u8());
   q.delivery = static_cast<OutputDelivery>(r.u8());
-  q.write_output = r.u8() != 0;
   q.seed = r.u64();
   const std::uint8_t flags = r.u8();
   wq.options.init_from_output = (flags & kOptInitFromOutput) != 0;
-  wq.options.write_output = (flags & kOptWriteOutput) != 0;
   wq.options.pipeline_tiles = (flags & kOptPipelineTiles) != 0;
   wq.options.record_trace = (flags & kOptRecordTrace) != 0;
   wq.options.comm_cpu_bytes_per_sec = r.f64();

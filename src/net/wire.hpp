@@ -10,8 +10,8 @@
 // where payload is an encode_query(), encode_result(),
 // encode_stats_request() or encode_stats_reply() body.
 //
-// Protocol version: v6 is the only one encoded or decoded; a frame of
-// any other version is a WireError (v1-v5 grew it field by field).
+// Protocol version: v7 is the only one encoded or decoded; a frame of
+// any other version is a WireError (v1-v6 differ field by field).
 #pragma once
 
 #include <cstddef>

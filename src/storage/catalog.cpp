@@ -71,9 +71,7 @@ std::vector<Dataset> load_catalog(std::istream& is) {
                                std::to_string(cur_expected) + " chunks, found " +
                                std::to_string(cur_chunks.size()));
     }
-    Dataset ds(cur_id, cur_name, cur_domain, std::move(cur_chunks));
-    ds.build_index();
-    out.push_back(std::move(ds));
+    out.emplace_back(cur_id, cur_name, cur_domain, std::move(cur_chunks));
     cur_chunks = {};
     open = false;
   };

@@ -12,22 +12,10 @@ Dataset::Dataset(std::uint32_t id, std::string name, Rect domain,
     assert(chunks_[i].id.index == static_cast<std::uint32_t>(i));
     total_bytes_ += chunks_[i].bytes;
   }
-}
-
-void Dataset::build_index() { build_index(std::make_unique<RTreeIndex>()); }
-
-void Dataset::build_index(std::unique_ptr<SpatialIndex> index) {
-  assert(index != nullptr);
   std::vector<Rect> mbrs;
   mbrs.reserve(chunks_.size());
   for (const ChunkMeta& c : chunks_) mbrs.push_back(c.mbr);
-  index->build(mbrs);
-  index_ = std::move(index);
-}
-
-std::vector<std::uint32_t> Dataset::find_chunks(const Rect& range) const {
-  assert(index_ != nullptr);
-  return index_->query(range);
+  index_.bulk_load(mbrs);
 }
 
 void Dataset::set_placement(const std::vector<int>& disk_of_chunk) {

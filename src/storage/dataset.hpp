@@ -2,24 +2,26 @@
 //
 // A Dataset is the metadata for one stored multi-dimensional dataset: its
 // attribute-space extent, the metadata of every chunk (MBR, size,
-// placement), and the spatial index built over the chunk MBRs.  Payloads
-// live in a ChunkStore; the Dataset only knows where they are.
+// placement), and the R-tree over the chunk MBRs that serves as its
+// index.  Payloads live in a ChunkStore; the Dataset only knows where
+// they are.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/geometry.hpp"
 #include "storage/chunk.hpp"
-#include "storage/spatial_index.hpp"
+#include "storage/rtree.hpp"
 
 namespace adr {
 
 class Dataset {
  public:
   Dataset() = default;
+  /// Bulk-loads the index over the chunk MBRs, which are fixed from here
+  /// on (set_placement changes only disks).
   Dataset(std::uint32_t id, std::string name, Rect domain, std::vector<ChunkMeta> chunks);
 
   std::uint32_t id() const { return id_; }
@@ -34,18 +36,10 @@ class Dataset {
 
   std::uint64_t total_bytes() const { return total_bytes_; }
 
-  /// Builds (or rebuilds) the default index (an R-tree) over chunk MBRs.
-  void build_index();
-
-  /// Builds with a caller-supplied index (the indexing service's
-  /// "user-provided indices").
-  void build_index(std::unique_ptr<SpatialIndex> index);
-
-  bool has_index() const { return index_ != nullptr; }
-  const SpatialIndex* index() const { return index_.get(); }
-
-  /// Chunk indices whose MBR intersects `range`; requires build_index().
-  std::vector<std::uint32_t> find_chunks(const Rect& range) const;
+  /// Chunk indices whose MBR intersects `range`, ascending.
+  std::vector<std::uint32_t> find_chunks(const Rect& range) const {
+    return index_.query(range);
+  }
 
   /// Updates placement from a declustering assignment (global disk ids).
   void set_placement(const std::vector<int>& disk_of_chunk);
@@ -59,7 +53,7 @@ class Dataset {
   Rect domain_;
   std::vector<ChunkMeta> chunks_;
   std::uint64_t total_bytes_ = 0;
-  std::unique_ptr<SpatialIndex> index_;
+  RTree index_;
 };
 
 }  // namespace adr

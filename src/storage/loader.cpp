@@ -35,10 +35,8 @@ Dataset load_dataset(std::uint32_t id, const std::string& name, const Rect& doma
     }
   }
 
-  // (4) index.
-  Dataset ds(id, name, domain, std::move(metas));
-  ds.build_index();
-  return ds;
+  // (4) index: the Dataset bulk-loads its R-tree.
+  return Dataset(id, name, domain, std::move(metas));
 }
 
 Dataset load_dataset_meta(std::uint32_t id, const std::string& name, const Rect& domain,
@@ -48,9 +46,7 @@ Dataset load_dataset_meta(std::uint32_t id, const std::string& name, const Rect&
   }
   const std::vector<int> placement = decluster(chunks, domain, options);
   for (std::size_t i = 0; i < chunks.size(); ++i) chunks[i].disk = placement[i];
-  Dataset ds(id, name, domain, std::move(chunks));
-  ds.build_index();
-  return ds;
+  return Dataset(id, name, domain, std::move(chunks));
 }
 
 }  // namespace adr

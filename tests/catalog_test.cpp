@@ -18,9 +18,7 @@ Dataset sample_dataset(std::uint32_t id, const std::string& name, int chunks) {
     m.disk = i % 3;
     metas.push_back(m);
   }
-  Dataset ds(id, name, Rect(Point{0.0, -10.0}, Point{100.0, 10.0}), metas);
-  ds.build_index();
-  return ds;
+  return Dataset(id, name, Rect(Point{0.0, -10.0}, Point{100.0, 10.0}), metas);
 }
 
 TEST(Catalog, RoundTripsMetadata) {
@@ -44,7 +42,6 @@ TEST(Catalog, RoundTripsMetadata) {
     EXPECT_EQ(loaded[0].chunk(i).id, a.chunk(i).id);
   }
   EXPECT_EQ(loaded[1].name(), "image grid");
-  EXPECT_TRUE(loaded[1].has_index());
   EXPECT_EQ(loaded[1].find_chunks(Rect(Point{0.0, 0.0}, Point{1.0, 1.0})),
             (std::vector<std::uint32_t>{0}));
 }

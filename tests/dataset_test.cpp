@@ -30,15 +30,11 @@ TEST(Dataset, EmptyDataset) {
   Dataset ds(0, "empty", Rect::cube(2, 0.0, 1.0), {});
   EXPECT_EQ(ds.num_chunks(), 0u);
   EXPECT_DOUBLE_EQ(ds.mean_chunk_bytes(), 0.0);
-  ds.build_index();
   EXPECT_TRUE(ds.find_chunks(Rect::cube(2, 0.0, 1.0)).empty());
 }
 
 TEST(Dataset, FindChunksAfterIndexing) {
   Dataset ds(0, "line", Rect(Point{0.0, 0.0}, Point{10.0, 1.0}), line_chunks(0, 10));
-  EXPECT_FALSE(ds.has_index());
-  ds.build_index();
-  EXPECT_TRUE(ds.has_index());
   const auto hits = ds.find_chunks(Rect(Point{2.5, 0.0}, Point{4.5, 1.0}));
   EXPECT_EQ(hits, (std::vector<std::uint32_t>{2, 3, 4}));
 }

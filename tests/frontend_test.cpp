@@ -279,24 +279,6 @@ TEST(QuerySubmissionService, TicketsAndFifoProcessing) {
   EXPECT_EQ(service.take(t1).status.code, StatusCode::kNotFound);
 }
 
-TEST(Repository, GridIndexBackendWorks) {
-  RepositoryConfig cfg = thread_config(2);
-  cfg.index = "grid";
-  Repository repo(cfg);
-  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 1));
-  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
-  EXPECT_STREQ(repo.dataset(in).index()->name().c_str(), "grid");
-  Query q;
-  q.input_dataset = in;
-  q.output_dataset = out;
-  q.range = Rect(Point{0.0, 0.0}, Point{0.49, 0.49});
-  q.aggregation = "sum-count-max";
-  q.delivery = OutputDelivery::kReturnToClient;
-  const QueryResult r = repo.submit(q);
-  ASSERT_EQ(r.outputs.size(), 1u);
-  EXPECT_EQ(r.outputs[0].as<std::uint64_t>()[1], 4u);  // count
-}
-
 TEST(Repository, FileBackedFarmPersistsAcrossInstances) {
   const auto dir = std::filesystem::temp_directory_path() / "adr_repo_persist";
   std::filesystem::remove_all(dir);
@@ -421,15 +403,6 @@ TEST(Repository, HistogramAggregationEndToEnd) {
     for (std::uint64_t bucket : c.as<std::uint64_t>()) total += bucket;
   }
   EXPECT_EQ(total, 64u);  // every one of 16 chunks x 4 values lands somewhere
-}
-
-TEST(Repository, UnknownIndexNameRejected) {
-  RepositoryConfig cfg = thread_config(2);
-  cfg.index = "wavelet";
-  Repository repo(cfg);
-  EXPECT_THROW(
-      repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(2, 1)),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "common/fault.hpp"
-#include "json_check.hpp"
 #include "net/client.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket_io.hpp"
 #include "net/wire.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_helpers.hpp"
@@ -75,7 +75,6 @@ TEST(Wire, QueryRoundTrip) {
   q.strategy = StrategyKind::kSRA;
   q.tiling_order = TilingOrder::kRowMajor;
   q.delivery = OutputDelivery::kReturnToClient;
-  q.write_output = true;
   q.seed = 12345;
 
   const Query back = decode_query_frame(encode_query(q)).query;
@@ -161,14 +160,12 @@ TEST(Wire, ExecOptionsTravelWithQueryFrame) {
   // rate) so the round trip can't pass by accident.
   ExecOptions options;
   options.init_from_output = false;
-  options.write_output = false;
   options.pipeline_tiles = false;
   options.record_trace = true;
   options.comm_cpu_bytes_per_sec = 1.5e9;
   const WireQuery back = decode_query_frame(encode_query(q, options));
   EXPECT_EQ(back.query.input_dataset, 1u);
   EXPECT_FALSE(back.options.init_from_output);
-  EXPECT_FALSE(back.options.write_output);
   EXPECT_FALSE(back.options.pipeline_tiles);
   EXPECT_TRUE(back.options.record_trace);
   EXPECT_DOUBLE_EQ(back.options.comm_cpu_bytes_per_sec, 1.5e9);
@@ -177,7 +174,6 @@ TEST(Wire, ExecOptionsTravelWithQueryFrame) {
   const ExecOptions defaults;
   const WireQuery plain = decode_query_frame(encode_query(q));
   EXPECT_EQ(plain.options.init_from_output, defaults.init_from_output);
-  EXPECT_EQ(plain.options.write_output, defaults.write_output);
   EXPECT_EQ(plain.options.pipeline_tiles, defaults.pipeline_tiles);
   EXPECT_EQ(plain.options.record_trace, defaults.record_trace);
   EXPECT_DOUBLE_EQ(plain.options.comm_cpu_bytes_per_sec,
@@ -364,8 +360,7 @@ TEST(ClientServer, StatsEndpointReturnsLiveMetrics) {
   ASSERT_TRUE(client.submit(fx.basic_query()).ok());
 
   const WireStatsReply stats = client.stats();
-  std::string err;
-  ASSERT_TRUE(adr::testing::is_valid_json(stats.metrics_json, &err)) << err;
+  ASSERT_NO_THROW(obs::parse_json(stats.metrics_json));
   EXPECT_TRUE(stats.trace_json.empty());  // not requested
 
   // The serving stack's series are present and alive: metrics are
@@ -394,10 +389,9 @@ TEST(ClientServer, StatsIncludesTraceWhenEnabled) {
     ASSERT_TRUE(client.submit(fx.basic_query()).ok());
 
     const WireStatsReply stats = client.stats(/*include_trace=*/true);
-    std::string err;
-    ASSERT_TRUE(adr::testing::is_valid_json(stats.metrics_json, &err)) << err;
+    ASSERT_NO_THROW(obs::parse_json(stats.metrics_json));
     ASSERT_FALSE(stats.trace_json.empty());
-    ASSERT_TRUE(adr::testing::is_valid_json(stats.trace_json, &err)) << err;
+    ASSERT_NO_THROW(obs::parse_json(stats.trace_json));
     EXPECT_NE(stats.trace_json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(stats.trace_json.find("\"name\":\"queued\""), std::string::npos);
     EXPECT_NE(stats.trace_json.find("\"name\":\"planned\""), std::string::npos);
@@ -409,7 +403,7 @@ TEST(ClientServer, StatsIncludesTraceWhenEnabled) {
 
 TEST(ClientServer, BusyRefusalCarriesRetryAfterHint) {
   ServerFixture fx;
-  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/1);
+  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, {.max_connections = 1});
   tight.start();
 
   AdrClient first(tight.port());
@@ -505,7 +499,7 @@ TEST(FaultServing, NonIdempotentPolicyDoesNotRetryTransportLoss) {
 
 TEST(FaultServing, BusyRefusalIsRetriedAfterServerHint) {
   ServerFixture fx;
-  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/1);
+  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, {.max_connections = 1});
   tight.start();
 
   AdrClient holder(tight.port());
@@ -701,7 +695,7 @@ TEST(EventLoopServing, ManyIdleConnectionsDoNotStarveServing) {
   // keeps querying: the loop's readiness model means idle sockets cost
   // nothing, where thread-per-connection burned a stack each.
   ServerFixture fx;
-  AdrServer big(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/512);
+  AdrServer big(fx.repo, /*port=*/0, ComputeCosts{}, {.max_connections = 512});
   big.start();
 
   std::vector<int> idle;
@@ -784,7 +778,7 @@ class ConnectionCap : public ::testing::TestWithParam<FrontEnd> {
   void SetUp() override {
     if (GetParam() == FrontEnd::kServer) {
       server_ = std::make_unique<AdrServer>(fx_.repo, /*port=*/0, ComputeCosts{},
-                                            /*max_connections=*/1);
+                                            RuntimeConfig{.max_connections = 1});
       server_->start();
       return;
     }
@@ -890,7 +884,7 @@ TEST(EventLoopServing, StatsAtCapacityReportsBusyNotWireError) {
   // throw an opaque "wire: not a stats reply".  The client now surfaces
   // the typed refusal with the server's retry-after hint.
   ServerFixture fx;
-  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/1);
+  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, {.max_connections = 1});
   tight.start();
   AdrClient holder(tight.port());
   ASSERT_TRUE(holder.submit(fx.basic_query()).ok());  // slot registered

@@ -32,7 +32,6 @@ TEST(QueryDefaults, SensibleOutOfTheBox) {
   EXPECT_EQ(q.strategy, StrategyKind::kFRA);
   EXPECT_EQ(q.tiling_order, TilingOrder::kHilbert);
   EXPECT_EQ(q.delivery, OutputDelivery::kWriteBack);
-  EXPECT_TRUE(q.write_output);
   EXPECT_TRUE(q.extra_input_datasets.empty());
   EXPECT_FALSE(q.range.valid());  // must be set explicitly
 }

@@ -128,5 +128,19 @@ TEST(RTree, DuplicateRectsAllReturned) {
   EXPECT_EQ(tree.query(Rect::cube(2, 0.5, 0.6)).size(), 20u);
 }
 
+TEST(RTree, RebuildReplacesContents) {
+  RTree tree;
+  tree.bulk_load(random_rects(50, 2, 13));
+  tree.bulk_load({Rect::cube(2, 0.0, 1.0)});
+  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_EQ(tree.query(Rect::cube(2, 0.0, 2.0)).size(), 1u);
+}
+
+TEST(RTree, QueryOutsideBoundsEmpty) {
+  RTree tree;
+  tree.bulk_load(random_rects(100, 2, 14));
+  EXPECT_TRUE(tree.query(Rect::cube(2, 500.0, 600.0)).empty());
+}
+
 }  // namespace
 }  // namespace adr

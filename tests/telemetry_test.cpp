@@ -18,12 +18,11 @@
 #include <thread>
 #include <vector>
 
-#include "../tools/tiny_json.hpp"
 #include "core/frontend.hpp"
-#include "json_check.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/exposition.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_cost.hpp"
 #include "obs/sampler.hpp"
@@ -109,15 +108,14 @@ TEST(TelemetrySampler, HistoryJsonWellFormed) {
   s.sample_now();
 
   const std::string json = s.history_json();
-  std::string err;
-  EXPECT_TRUE(adr::testing::is_valid_json(json, &err)) << err;
+  EXPECT_NO_THROW(obs::parse_json(json));
   EXPECT_NE(json.find("\"period_ms\":60000"), std::string::npos);
   EXPECT_NE(json.find("\"capacity\":16"), std::string::npos);
   EXPECT_NE(json.find("test.telemetry.json"), std::string::npos);
 
   // last_n caps the exported window but not the bookkeeping.
-  const adr::tools::JsonValue doc =
-      adr::tools::parse_json(s.history_json(/*last_n=*/1));
+  const obs::JsonValue doc =
+      obs::parse_json(s.history_json(/*last_n=*/1));
   EXPECT_EQ(doc.num("samples"), 1.0);
   EXPECT_EQ(doc.num("total_samples"), 3.0);
 }
@@ -158,8 +156,7 @@ TEST(TelemetrySampler, ConcurrentHammerWhileSampling) {
   for (std::thread& w : writers) w.join();
   s.stop();
 
-  std::string err;
-  EXPECT_TRUE(adr::testing::is_valid_json(last, &err)) << err;
+  EXPECT_NO_THROW(obs::parse_json(last));
   EXPECT_GE(s.total_samples(), 2u);
   EXPECT_GT(counter.value(), 0u);
 }
@@ -249,8 +246,8 @@ TEST(Exposition, HistoryRatesSurviveCounterReset) {
 
   HistoryMeta meta;
   const std::string json = obs::history_to_json({s0, s1}, meta);
-  const adr::tools::JsonValue doc = adr::tools::parse_json(json);
-  const adr::tools::JsonValue* series = doc.find("counters")->find("c");
+  const obs::JsonValue doc = obs::parse_json(json);
+  const obs::JsonValue* series = doc.find("counters")->find("c");
   ASSERT_NE(series, nullptr);
   const std::vector<double> rates = series->nums("rates");
   ASSERT_EQ(rates.size(), 2u);
@@ -275,10 +272,8 @@ TEST(Exposition, HistoryHistogramWindowedRates) {
   s1.snapshot.histograms = {{"lat", h1}};
 
   const std::string json = obs::history_to_json({s0, s1}, HistoryMeta{});
-  std::string err;
-  ASSERT_TRUE(adr::testing::is_valid_json(json, &err)) << err;
-  const adr::tools::JsonValue doc = adr::tools::parse_json(json);
-  const adr::tools::JsonValue* lat = doc.find("histograms")->find("lat");
+  const obs::JsonValue doc = obs::parse_json(json);
+  const obs::JsonValue* lat = doc.find("histograms")->find("lat");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->num("count"), 6.0);  // since-boot totals from the latest
   const std::vector<double> rates = lat->nums("rates");
@@ -482,14 +477,13 @@ struct E2EFixture : CostFixture {
   net::AdrServer server;
 
   E2EFixture()
-      : server(repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/16,
-               /*scheduler_workers=*/2, /*max_pending=*/64, [] {
-                 adr::TelemetryOptions t;
-                 t.sample_period = std::chrono::milliseconds(20);
-                 t.sample_capacity = 128;
-                 t.http_port = 0;  // ephemeral
-                 return t;
-               }()) {
+      : server(repo, /*port=*/0, ComputeCosts{},
+               {.scheduler_workers = 2,
+                .max_pending = 64,
+                .max_connections = 16,
+                .telemetry = {.sample_period = std::chrono::milliseconds(20),
+                              .sample_capacity = 128,
+                              .http_port = 0}}) {  // ephemeral HTTP port
     server.start();
   }
   ~E2EFixture() { server.stop(); }
@@ -520,14 +514,14 @@ TEST(TelemetryEndToEnd, WireHistoryAndHttpScrapeAgree) {
   }
 
   // Wait for the sampler to tick a few times past the workload.
-  adr::tools::JsonValue history;
+  obs::JsonValue history;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
     const net::WireStatsReply reply =
         client.stats(/*include_trace=*/false, /*include_history=*/true);
     ASSERT_FALSE(reply.history_json.empty());
-    history = adr::tools::parse_json(reply.history_json);
-    const adr::tools::JsonValue* completed =
+    history = obs::parse_json(reply.history_json);
+    const obs::JsonValue* completed =
         history.find("counters")->find("scheduler.completed");
     if (completed != nullptr && completed->num("last") >= 12.0 &&
         history.num("samples") >= 3.0) {
@@ -550,7 +544,7 @@ TEST(TelemetryEndToEnd, WireHistoryAndHttpScrapeAgree) {
   // The sample-cap variant of the wire request.
   const net::WireStatsReply capped =
       client.stats(false, /*include_history=*/true, /*history_samples=*/1);
-  EXPECT_EQ(adr::tools::parse_json(capped.history_json).num("samples"), 1.0);
+  EXPECT_EQ(obs::parse_json(capped.history_json).num("samples"), 1.0);
 
   // HTTP scrape agrees with the wire: Prometheus text with the cost
   // family's deltas reconciling against the chunk cache's byte split.
@@ -572,10 +566,8 @@ TEST(TelemetryEndToEnd, WireHistoryAndHttpScrapeAgree) {
   // /history over HTTP serves the same document shape the wire does.
   const std::string hist_rsp = http_get(fx.server.http_port(), "/history?n=2");
   EXPECT_NE(hist_rsp.find("200 OK"), std::string::npos);
-  std::string err;
   const std::string hist_body = http_body(hist_rsp);
-  EXPECT_TRUE(adr::testing::is_valid_json(hist_body, &err)) << err;
-  EXPECT_EQ(adr::tools::parse_json(hist_body).num("samples"), 2.0);
+  EXPECT_EQ(obs::parse_json(hist_body).num("samples"), 2.0);
 }
 
 TEST(TelemetryEndToEnd, HttpEndpointBehaviors) {

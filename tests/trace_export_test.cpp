@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/frontend.hpp"
-#include "json_check.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
@@ -104,8 +104,7 @@ TEST(QueryTracer, ConcurrentRecordAndExport) {
   EXPECT_EQ(t.size(), 256u);
   EXPECT_EQ(t.dropped(),
             static_cast<std::uint64_t>(kThreads) * kPerThread - 256u);
-  std::string err;
-  EXPECT_TRUE(adr::testing::is_valid_json(t.chrome_json(), &err)) << err;
+  EXPECT_NO_THROW(obs::parse_json(t.chrome_json()));
 }
 
 TEST(TraceExport, ChromeJsonGoldenShape) {
@@ -118,8 +117,7 @@ TEST(TraceExport, ChromeJsonGoldenShape) {
   t.record(phase);
 
   const std::string json = t.chrome_json();
-  std::string err;
-  ASSERT_TRUE(adr::testing::is_valid_json(json, &err)) << err;
+  ASSERT_NO_THROW(obs::parse_json(json));
 
   // Envelope + the two process_name metadata records.
   EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
@@ -230,8 +228,7 @@ TEST(TraceExport, SchedulerRunEmitsLifecycleSpans) {
     EXPECT_TRUE(names.count("execute")) << "missing execute span";
     EXPECT_TRUE(phase_span_has_tile) << "missing per-tile engine phase spans";
 
-    std::string err;
-    EXPECT_TRUE(adr::testing::is_valid_json(tracer().chrome_json(), &err)) << err;
+    EXPECT_NO_THROW(obs::parse_json(tracer().chrome_json()));
   }
   tracer().disable();
   tracer().clear();

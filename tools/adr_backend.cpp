@@ -132,8 +132,10 @@ int main(int argc, char** argv) {
     spec.datasets = datasets;
     create_grid_datasets(repo, spec);
 
-    net::AdrServer server(repo, port, ComputeCosts{}, max_connections,
-                          /*scheduler_workers=*/workers);
+    net::AdrServer server(
+        repo, port, ComputeCosts{},
+        {.scheduler_workers = static_cast<std::size_t>(workers),
+         .max_connections = static_cast<std::size_t>(max_connections)});
     server.start();
     std::cout << "port=" << server.port() << "\n" << std::flush;
     std::cerr << "adr_backend: serving " << datasets

@@ -136,11 +136,10 @@ int main(int argc, char** argv) {
     const auto sensors = repo.create_dataset("sensors", domain, sensor_chunks());
     const auto summary = repo.create_dataset("summary", domain, summary_chunks());
 
-    adr::TelemetryOptions telemetry;
-    telemetry.sample_period = std::chrono::milliseconds(period_ms);
-    telemetry.http_port = http_port;
-    net::AdrServer server(repo, port, ComputeCosts{}, /*max_connections=*/64,
-                          /*scheduler_workers=*/4, /*max_pending=*/256, telemetry);
+    net::AdrServer server(
+        repo, port, ComputeCosts{},
+        {.telemetry = {.sample_period = std::chrono::milliseconds(period_ms),
+                       .http_port = http_port}});
     server.start();
     std::cout << "port=" << server.port() << "\n"
               << "http_port=" << server.http_port() << "\n"

@@ -38,11 +38,11 @@
 #include <vector>
 
 #include "net/client.hpp"
-#include "tiny_json.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
-using adr::tools::JsonValue;
+using adr::obs::JsonValue;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -233,21 +233,21 @@ int main(int argc, char** argv) {
 
       if (json) {
         std::cout << reply.metrics_json << "\n";
-        const JsonValue snapshot = adr::tools::parse_json(reply.metrics_json);
+        const JsonValue snapshot = adr::obs::parse_json(reply.metrics_json);
         print_cache_summary(snapshot);
         print_router_summary(snapshot);
       } else if (watch_s > 0.0) {
-        const JsonValue snapshot = adr::tools::parse_json(reply.metrics_json);
+        const JsonValue snapshot = adr::obs::parse_json(reply.metrics_json);
         JsonValue history;
         if (!reply.history_json.empty()) {
-          history = adr::tools::parse_json(reply.history_json);
+          history = adr::obs::parse_json(reply.history_json);
         }
         std::ostringstream frame;
         print_counters(snapshot, &history, frame);
         print_gauges_and_histograms(snapshot, frame);
         std::cout << "\x1b[H\x1b[J" << frame.str() << std::flush;
       } else {
-        const JsonValue snapshot = adr::tools::parse_json(reply.metrics_json);
+        const JsonValue snapshot = adr::obs::parse_json(reply.metrics_json);
         std::ostringstream frame;
         print_counters(snapshot, nullptr, frame);
         print_gauges_and_histograms(snapshot, frame);

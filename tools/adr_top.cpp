@@ -26,11 +26,11 @@
 #include <vector>
 
 #include "net/client.hpp"
-#include "tiny_json.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
-using adr::tools::JsonValue;
+using adr::obs::JsonValue;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
           client.stats(/*include_trace=*/false, /*include_history=*/true, samples);
       JsonValue history;
       if (!reply.history_json.empty()) {
-        history = adr::tools::parse_json(reply.history_json);
+        history = adr::obs::parse_json(reply.history_json);
       }
       const std::string frame = render(history, static_cast<std::uint16_t>(port));
       if (once) {
