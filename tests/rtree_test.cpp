@@ -136,6 +136,32 @@ TEST(RTree, RebuildReplacesContents) {
   EXPECT_EQ(tree.query(Rect::cube(2, 0.0, 2.0)).size(), 1u);
 }
 
+TEST(RTree, EmptyIndex) {
+  RTree tree;
+  tree.bulk_load({});
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_TRUE(tree.query(Rect::cube(2, 0.0, 1.0)).empty());
+}
+
+TEST(RTree, MatchesBruteForce) {
+  Rng gen(11);
+  std::vector<Rect> rects;
+  for (int i = 0; i < 400; ++i) {
+    const double x = gen.uniform(0.0, 100.0), y = gen.uniform(0.0, 100.0);
+    rects.emplace_back(Point{x, y}, Point{x + gen.uniform(0.1, 4.0), y + gen.uniform(0.1, 4.0)});
+  }
+  RTree tree;
+  tree.bulk_load(rects);
+  EXPECT_EQ(tree.size(), 400u);
+  Rng rng(12);
+  for (int q = 0; q < 40; ++q) {
+    const double x = rng.uniform(0.0, 90.0), y = rng.uniform(0.0, 90.0);
+    const Rect query(Point{x, y},
+                     Point{x + rng.uniform(1.0, 25.0), y + rng.uniform(1.0, 25.0)});
+    EXPECT_EQ(tree.query(query), brute_force(rects, query));
+  }
+}
+
 TEST(RTree, QueryOutsideBoundsEmpty) {
   RTree tree;
   tree.bulk_load(random_rects(100, 2, 14));
