@@ -21,21 +21,6 @@ std::uint64_t hash_name(const std::string& name) {
   return h;
 }
 
-// splitmix64 step: cheap, high-quality, and trivially replayable — the
-// k-th draw of a point is a pure function of its initial state.
-std::uint64_t next_u64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-double next_unit(std::uint64_t& state) {
-  // 53 mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(next_u64(state) >> 11) * 0x1.0p-53;
-}
-
 }  // namespace
 
 FaultRegistry& faults() {
@@ -101,7 +86,7 @@ Status FaultRegistry::evaluate_slow(const char* point) {
       case Trigger::kProbability:
         // The draw is consumed on every hit, fired or not, so the
         // decision stream is indexed purely by hit number.
-        fire = next_unit(p.rng_state) < p.spec.probability;
+        fire = splitmix_unit(p.rng_state) < p.spec.probability;
         break;
       case Trigger::kEveryNth:
         fire = p.spec.every_nth != 0 && hit % p.spec.every_nth == 0;

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/random.hpp"
+
 namespace adr {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
 
 namespace {
 

@@ -18,10 +18,8 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
 }
 
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t z = a + 0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  std::uint64_t state = a + (b << 6) + (b >> 2);
+  return splitmix64(state);
 }
 
 }  // namespace adr

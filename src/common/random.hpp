@@ -58,6 +58,23 @@ class Rng {
   std::mt19937_64 eng_;
 };
 
+/// One splitmix64 step: advances `state` by the golden-ratio increment
+/// and returns the finalized draw.  Cheap and trivially replayable: the
+/// k-th draw of a stream is a pure function of its initial state.  Fault
+/// points and retry jitter both draw from it.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ull;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Uniform double in [0, 1) from the top 53 bits of one splitmix64 step.
+inline double splitmix_unit(std::uint64_t& state) {
+  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+}
+
 /// Stable 64-bit hash combiner (splitmix64 finalizer) for deriving seeds.
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b);
 

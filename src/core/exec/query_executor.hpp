@@ -70,7 +70,7 @@ struct ExecOptions {
   /// paper's "output can also be returned to the client from the
   /// back-end nodes").  Called from node contexts: must be thread-safe
   /// under the thread executor.
-  std::function<void(Chunk&&)> output_sink;
+  std::function<void(Chunk&&)> output_sink{};
   /// When set (and op != nullptr), receives each finalized accumulator
   /// after global combine, just before op->output() consumes it: the
   /// output *position* in the plan (index into selected_outputs) and the
@@ -78,7 +78,7 @@ struct ExecOptions {
   /// by this point the accumulator's value is strategy-independent.
   /// Called from node contexts: must be thread-safe under the thread
   /// executor.
-  std::function<void(std::uint32_t, const std::vector<std::byte>&)> accum_sink;
+  std::function<void(std::uint32_t, const std::vector<std::byte>&)> accum_sink{};
 };
 
 /// Executes `pq` on `executor`.  `op` may be null for metadata-only runs.

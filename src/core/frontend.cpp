@@ -145,6 +145,13 @@ void record_submit_success(QueryResult& result, double elapsed_s) {
   c.thread_cpu.observe(result.cost.thread_cpu_s);
 }
 
+/// Delivered chunks in id order: the engine's nodes and the marginal
+/// cache hand them over in no fixed order.
+void sort_by_id(std::vector<Chunk>& chunks) {
+  std::sort(chunks.begin(), chunks.end(),
+            [](const Chunk& a, const Chunk& b) { return a.meta().id < b.meta().id; });
+}
+
 }  // namespace
 
 Repository::Repository(const RepositoryConfig& config) : config_(config) {
@@ -447,19 +454,16 @@ Repository::MarginalConsult Repository::consult_marginals_locked(
   return mc;
 }
 
-QueryResult Repository::finalize_from_cache_locked(const Query& query,
-                                                   const Prepared& prepared,
-                                                   MarginalConsult& consult) {
-  QueryResult result;
-  // No plan ran; report the requested strategy (kAuto never chose one).
-  result.strategy =
-      query.strategy == StrategyKind::kAuto ? StrategyKind::kFRA : query.strategy;
+bool Repository::serve_marginal_hits_locked(const Query& query, const Prepared& prepared,
+                                            const MarginalConsult& consult,
+                                            QueryResult& result,
+                                            std::vector<Chunk>& delivered) {
   result.marginal_hits = consult.hits.size();
   result.cost.marginal_chunks = consult.hits.size();
   result.cost.marginal_bytes_saved = consult.bytes_saved;
-
+  marginal_cache_->note_bytes_saved(consult.bytes_saved);
   bool wrote_back = false;
-  for (auto& [orig, partial] : consult.hits) {
+  for (const auto& [orig, partial] : consult.hits) {
     const ChunkMeta& meta =
         prepared.output->chunk(consult.original.selected_outputs[orig]);
     std::vector<std::byte> payload = prepared.op->output(meta, partial);
@@ -469,18 +473,26 @@ QueryResult Repository::finalize_from_cache_locked(const Query& query,
         wrote_back = true;
         break;
       case OutputDelivery::kReturnToClient:
-        result.outputs.emplace_back(meta, std::move(payload));
+        delivered.emplace_back(meta, std::move(payload));
         break;
       case OutputDelivery::kDiscard:
         break;
     }
   }
-  if (!result.outputs.empty()) {
-    std::sort(result.outputs.begin(), result.outputs.end(),
-              [](const Chunk& a, const Chunk& b) { return a.meta().id < b.meta().id; });
+  return wrote_back;
+}
+
+QueryResult Repository::finalize_from_cache_locked(const Query& query,
+                                                   const Prepared& prepared,
+                                                   const MarginalConsult& consult) {
+  QueryResult result;
+  // No plan ran; report the requested strategy (kAuto never chose one).
+  result.strategy =
+      query.strategy == StrategyKind::kAuto ? StrategyKind::kFRA : query.strategy;
+  if (serve_marginal_hits_locked(query, prepared, consult, result, result.outputs)) {
+    marginal_cache_->invalidate_data(query.output_dataset);
   }
-  if (wrote_back) marginal_cache_->invalidate_data(query.output_dataset);
-  marginal_cache_->note_bytes_saved(consult.bytes_saved);
+  sort_by_id(result.outputs);
   return result;
 }
 
@@ -619,30 +631,11 @@ QueryResult Repository::execute_planned_locked(const Query& query,
       marginal_cache_->publish(marginal->keys[marginal->executed_orig[pos]],
                                std::move(accum));
     }
-    result.marginal_hits = marginal->hits.size();
     result.marginal_misses = marginal->executed_orig.size();
-    result.cost.marginal_chunks = marginal->hits.size();
-    result.cost.marginal_bytes_saved = marginal->bytes_saved;
-    marginal_cache_->note_bytes_saved(marginal->bytes_saved);
     // Merge served partials into this query's delivery alongside the
-    // executed chunks.
-    for (auto& [orig, partial] : marginal->hits) {
-      const ChunkMeta& meta =
-          prepared.output->chunk(marginal->original.selected_outputs[orig]);
-      std::vector<std::byte> payload = prepared.op->output(meta, partial);
-      switch (delivery) {
-        case OutputDelivery::kWriteBack:
-          active_store().put(Chunk(meta, std::move(payload)));
-          break;
-        case OutputDelivery::kReturnToClient: {
-          std::lock_guard<std::mutex> lock(sink_mutex);
-          delivered.push_back(Chunk(meta, std::move(payload)));
-          break;
-        }
-        case OutputDelivery::kDiscard:
-          break;
-      }
-    }
+    // executed chunks (the engine is done with the sink by now).  A
+    // write-back here is invalidated by write_invalidate above.
+    serve_marginal_hits_locked(query, prepared, *marginal, result, delivered);
   }
 
   if (tracing) {
@@ -666,11 +659,8 @@ QueryResult Repository::execute_planned_locked(const Query& query,
     }
   }
 
-  if (!delivered.empty()) {
-    std::sort(delivered.begin(), delivered.end(),
-              [](const Chunk& a, const Chunk& b) { return a.meta().id < b.meta().id; });
-    result.outputs = std::move(delivered);
-  }
+  sort_by_id(delivered);
+  result.outputs = std::move(delivered);
   return result;
 }
 

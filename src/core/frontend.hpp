@@ -242,10 +242,18 @@ class Repository {
   /// Selects the query's chunks and maps them (submit.select_s);
   /// failures become StatusError{kPlanRejected}.
   QuerySelection select_prepared(const Prepared& prepared) const;
+  /// Serves the consult's cached partials: op->output per chunk, then
+  /// the query's delivery (written back, appended to `delivered`, or
+  /// dropped), the marginal cost fields of `result` and the cache's
+  /// bytes-saved counter.  Returns whether any chunk was written back;
+  /// invalidating after that is the caller's rule.
+  bool serve_marginal_hits_locked(const Query& query, const Prepared& prepared,
+                                  const MarginalConsult& consult, QueryResult& result,
+                                  std::vector<Chunk>& delivered);
   /// Finalizes a fully-cached query straight from served partials: no
   /// plan, no executor, only op->output per chunk plus delivery.
   QueryResult finalize_from_cache_locked(const Query& query, const Prepared& prepared,
-                                         MarginalConsult& consult);
+                                         const MarginalConsult& consult);
   /// Runs the planning service's second phase on the consult's (possibly
   /// reduced) selection, metrics + trace spans included; failures become
   /// StatusError{kPlanRejected}.

@@ -1,10 +1,5 @@
 #include "net/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
@@ -46,33 +41,6 @@ RouterMetrics& router_metrics() {
   return m;
 }
 
-/// Blocking loopback connect with CLOEXEC and a receive timeout.
-int connect_backend(std::uint16_t port, std::chrono::milliseconds recv_timeout) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  if (recv_timeout.count() > 0) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(recv_timeout.count() / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((recv_timeout.count() % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  set_tcp_nodelay(fd);
-  return fd;
-}
-
-std::uint64_t splitmix_next(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  return mix64(state);
-}
-
 std::vector<std::byte> unavailable_frame(const std::string& message) {
   WireResult r;
   r.status = Status::make(StatusCode::kUnavailable, message);
@@ -93,13 +61,15 @@ std::uint64_t dataset_signature(const Query& query) {
 // references are internally thread-safe.
 struct AdrRouter::Backend {
   std::uint16_t port;
+  std::size_t index;  // position in backends_ and in each forwarder's connections
   mutable std::mutex mutex;
   BackendHealth health;
   obs::Counter& queries;
   obs::Gauge& up_gauge;
 
-  Backend(std::uint16_t p, const RouterConfig& config)
+  Backend(std::uint16_t p, std::size_t i, const RouterConfig& config)
       : port(p),
+        index(i),
         health(config.mark_down_after, config.half_open_after),
         queries(obs::metrics().counter("router.backend." + std::to_string(p) +
                                        ".queries")),
@@ -137,7 +107,7 @@ AdrRouter::AdrRouter(RouterConfig config, std::uint16_t port)
       throw std::invalid_argument("AdrRouter: duplicate backend port");
     }
     ring_.add_node(p);
-    backends_.push_back(std::make_unique<Backend>(p, config_));
+    backends_.push_back(std::make_unique<Backend>(p, backends_.size(), config_));
   }
 }
 
@@ -241,7 +211,9 @@ void AdrRouter::forwarder_loop(int index) {
   // seed, distinct across forwarders.
   std::uint64_t jitter_state =
       config_.retry.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(index) + 1;
-  BackendSockets socks;
+  std::vector<FrameConnection> conns;
+  conns.reserve(backends_.size());
+  for (const auto& b : backends_) conns.emplace_back(b->port, config_.backend_recv_timeout);
   std::unique_lock lock(job_mutex_);
   for (;;) {
     job_cv_.wait(lock, [this]() { return !running_.load() || !ready_.empty(); });
@@ -252,7 +224,7 @@ void AdrRouter::forwarder_loop(int index) {
     const FrameLoop::Slot slot = head.slot;
     const std::vector<std::byte> frame = std::move(head.frame);
     lock.unlock();
-    loop_.reply(slot, route(frame, socks, jitter_state));
+    loop_.reply(slot, route(frame, conns, jitter_state));
     lock.lock();
     // The head is answered: the connection's next frame, if any, is up.
     std::deque<Job>& lane = lanes_[conn];
@@ -263,12 +235,10 @@ void AdrRouter::forwarder_loop(int index) {
       ready_.push_back(conn);
     }
   }
-  lock.unlock();
-  for (const auto& [port, fd] : socks) ::close(fd);
 }
 
 std::vector<std::byte> AdrRouter::route(const std::vector<std::byte>& frame,
-                                        BackendSockets& socks,
+                                        std::vector<FrameConnection>& conns,
                                         std::uint64_t& jitter_state) {
   router_metrics().queries.add();
   std::uint64_t signature = 0;
@@ -321,10 +291,11 @@ std::vector<std::byte> AdrRouter::route(const std::vector<std::byte>& frame,
 
     router_metrics().forwarded.add();
     target->queries.add();
+    FrameConnection& conn = conns[target->index];
     std::vector<std::byte> reply;
-    const RelayStatus status = relay(*target, socks, frame, reply);
+    const FrameConnection::Outcome outcome = conn.exchange(frame, reply);
 
-    if (status == RelayStatus::kOk) {
+    if (outcome == FrameConnection::Outcome::kOk) {
       note_result(*target, true);
       // Inspect the typed status for failover-able failures; the frame
       // itself is returned verbatim on success.
@@ -335,6 +306,9 @@ std::vector<std::byte> AdrRouter::route(const std::vector<std::byte>& frame,
         return reply;  // undecodable: pass through, client will complain
       }
       if (decoded.ok()) return reply;
+      // A busy backend closes its side after the refusal frame; drop the
+      // connection so the next exchange reconnects cleanly.
+      if (decoded.server_busy()) conn.close();
       last_reply = std::move(reply);
       if (attempt >= max_attempts ||
           !is_retryable(decoded.status.code, config_.retry.idempotent)) {
@@ -343,24 +317,13 @@ std::vector<std::byte> AdrRouter::route(const std::vector<std::byte>& frame,
       // Busy or transient: back off (honoring the backend's hint) and
       // fail over to the next candidate.
       router_metrics().retries.add();
-      double ms = static_cast<double>(config_.retry.initial_backoff.count());
-      for (int i = 1; i < attempt; ++i) ms *= config_.retry.backoff_multiplier;
-      ms = std::min(ms, static_cast<double>(config_.retry.max_backoff.count()));
-      if (config_.retry.jitter > 0.0) {
-        const double u =
-            static_cast<double>(splitmix_next(jitter_state) >> 11) * 0x1.0p-53;
-        ms *= 1.0 - config_.retry.jitter + 2.0 * config_.retry.jitter * u;
-      }
-      if (config_.retry.honor_retry_after && decoded.retry_after_ms > 0) {
-        ms = std::max(ms, static_cast<double>(decoded.retry_after_ms));
-      }
-      if (ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(static_cast<std::int64_t>(ms)));
-      }
+      const auto delay =
+          config_.retry.backoff(attempt, decoded.retry_after_ms, jitter_state);
+      if (delay.count() > 0) std::this_thread::sleep_for(delay);
     } else {
       note_result(*target, false);
-      if (status == RelayStatus::kLostAfterSend && !config_.retry.idempotent) {
+      if (outcome == FrameConnection::Outcome::kLostAfterSend &&
+          !config_.retry.idempotent) {
         // The backend may have executed the query; re-sending could
         // apply it twice.  Mirror AdrClient: surface the loss.
         return unavailable_frame("connection lost before result");
@@ -376,76 +339,25 @@ std::vector<std::byte> AdrRouter::route(const std::vector<std::byte>& frame,
   return unavailable_frame("all backends unavailable");
 }
 
-AdrRouter::RelayStatus AdrRouter::relay(Backend& backend, BackendSockets& socks,
-                                        const std::vector<std::byte>& frame,
-                                        std::vector<std::byte>& reply) {
-  auto it = socks.find(backend.port);
-  bool fresh = false;
-  if (it == socks.end() || it->second < 0) {
-    const int fd = connect_backend(backend.port, config_.backend_recv_timeout);
-    if (fd < 0) return RelayStatus::kConnectFailed;
-    it = socks.insert_or_assign(backend.port, fd).first;
-    fresh = true;
-  }
-  if (!write_frame(it->second, frame)) {
-    ::close(it->second);
-    socks.erase(it);
-    if (fresh) return RelayStatus::kLostAfterSend;
-    // A cached connection may have gone stale (backend restarted since
-    // the last query); one reconnect distinguishes that from a down
-    // backend.  No bytes reached the *new* connection yet.
-    const int fd = connect_backend(backend.port, config_.backend_recv_timeout);
-    if (fd < 0) return RelayStatus::kConnectFailed;
-    it = socks.insert_or_assign(backend.port, fd).first;
-    if (!write_frame(it->second, frame)) {
-      ::close(it->second);
-      socks.erase(it);
-      return RelayStatus::kLostAfterSend;
-    }
-  }
-  if (!read_frame(it->second, reply)) {
-    ::close(it->second);
-    socks.erase(it);
-    return RelayStatus::kLostAfterSend;
-  }
-  // A busy backend closes its side after the refusal frame; drop the
-  // cached connection so the next relay reconnects cleanly.
-  try {
-    if (is_result_frame(reply) && decode_result(reply).server_busy()) {
-      ::close(it->second);
-      socks.erase(it);
-    }
-  } catch (const std::exception&) {
-  }
-  return RelayStatus::kOk;
-}
-
 // ------------------------------------------------------- health probes
 
 bool AdrRouter::probe(Backend& backend) {
-  const int fd = connect_backend(
-      backend.port, std::min(config_.backend_recv_timeout,
-                             std::chrono::milliseconds(2000)));
-  if (fd < 0) return false;
-  WireStatsRequest req;  // plain snapshot: cheapest liveness round trip
-  bool ok = write_frame(fd, encode_stats_request(req));
+  FrameConnection conn(backend.port, std::min(config_.backend_recv_timeout,
+                                               std::chrono::milliseconds(2000)));
   std::vector<std::byte> payload;
-  if (ok) ok = read_frame(fd, payload);
-  if (ok) {
-    try {
-      if (is_result_frame(payload)) {
-        // A backend at its connection cap refuses with a busy result:
-        // alive, just saturated — that is a healthy answer.
-        ok = true;
-      } else {
-        (void)decode_stats_reply(payload);
-      }
-    } catch (const std::exception&) {
-      ok = false;
-    }
+  // A plain snapshot request: the cheapest liveness round trip.
+  if (conn.exchange(encode_stats_request({}), payload) != FrameConnection::Outcome::kOk) {
+    return false;
   }
-  ::close(fd);
-  return ok;
+  // A backend at its connection cap refuses with a busy result: alive,
+  // just saturated — that is a healthy answer.
+  if (is_result_frame(payload)) return true;
+  try {
+    (void)decode_stats_reply(payload);
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 void AdrRouter::prober_loop() {

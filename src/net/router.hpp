@@ -17,14 +17,16 @@
 // connection at a time.  A forwarder decodes only enough to compute the
 // signature, resolves the ordered backend candidates from the ring (the
 // first `replication` are the replica set, rotated per query so a hot
-// dataset fans out), and relays the frame over a cached blocking
-// connection.  The backend's result frame travels back verbatim, so
-// routed results are byte-identical to direct ones.
+// dataset fans out), and relays the frame over a cached FrameConnection
+// (net/socket_io.hpp) — the blocking connection AdrClient uses too.  The
+// backend's result frame travels back verbatim, so routed results are
+// byte-identical to direct ones.
 //
 // Failure model (docs/sharding.md): a dead backend is just
 // kUnavailable on an idempotent query.  Transport losses and
 // kUnavailable/kIoError/kBusy answers fail over to the next candidate
-// under the shared RetryPolicy; consecutive failures mark a backend
+// under the shared RetryPolicy, sleeping RetryPolicy::backoff between
+// attempts exactly as AdrClient does; consecutive failures mark a backend
 // down (skipped by routing), a background prober — speaking the wire
 // stats protocol — drives half-open recovery.  Only when every
 // candidate inside the attempt budget fails does the client see a
@@ -45,6 +47,7 @@
 #include "common/hash_ring.hpp"
 #include "net/client.hpp"
 #include "net/frame_loop.hpp"
+#include "net/socket_io.hpp"
 
 namespace adr::net {
 
@@ -192,20 +195,12 @@ class AdrRouter {
   void on_frame(FrameLoop::Slot slot, std::vector<std::byte> frame);
 
   void forwarder_loop(int index);
-  /// Cached blocking connections one forwarder keeps, one per backend.
-  using BackendSockets = std::unordered_map<std::uint16_t, int>;
-  /// Routes one query frame; returns the raw result frame to send.
+  /// Routes one query frame over the forwarder's connections (one per
+  /// backend, indexed like backends_); returns the raw result frame to
+  /// send.
   std::vector<std::byte> route(const std::vector<std::byte>& frame,
-                               BackendSockets& socks, std::uint64_t& jitter_state);
-  /// Outcome of one relay attempt over a backend connection.
-  enum class RelayStatus {
-    kOk,             // `reply` holds the backend's raw result frame
-    kConnectFailed,  // no bytes ever sent: always safe to fail over
-    kLostAfterSend,  // sent but no reply: idempotency gates failover
-  };
-  RelayStatus relay(Backend& backend, BackendSockets& socks,
-                    const std::vector<std::byte>& frame,
-                    std::vector<std::byte>& reply);
+                               std::vector<FrameConnection>& conns,
+                               std::uint64_t& jitter_state);
 
   void prober_loop();
   bool probe(Backend& backend);

@@ -1,5 +1,6 @@
 #include "net/socket_io.hpp"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -131,6 +132,56 @@ bool write_frame(int fd, const std::vector<std::byte>& payload) {
     return false;
   }
   return write_two(fd, header, 4, payload.data(), payload.size());
+}
+
+// ------------------------------------------------------- FrameConnection
+
+bool FrameConnection::connect() {
+  if (fd_ >= 0) return true;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return false;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port_);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return false;
+  }
+  if (recv_timeout_.count() > 0) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(recv_timeout_.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((recv_timeout_.count() % 1000) * 1000);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  set_tcp_nodelay(fd);
+  fd_ = fd;
+  return true;
+}
+
+void FrameConnection::close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+FrameConnection::Outcome FrameConnection::exchange(const std::vector<std::byte>& frame,
+                                                   std::vector<std::byte>& reply) {
+  const bool reused = fd_ >= 0;
+  if (!connect()) return Outcome::kConnectFailed;
+  if (!write_frame(fd_, frame)) {
+    close();
+    if (!reused) return Outcome::kLostAfterSend;
+    if (!connect()) return Outcome::kConnectFailed;
+    if (!write_frame(fd_, frame)) {
+      close();
+      return Outcome::kLostAfterSend;
+    }
+  }
+  if (!read_frame(fd_, reply)) {
+    close();
+    return Outcome::kLostAfterSend;
+  }
+  return Outcome::kOk;
 }
 
 // ------------------------------------------------------- FrameReader

@@ -6,9 +6,10 @@
 //
 // Two layers share the format:
 //
-//  - read_frame()/write_frame(): the blocking helpers AdrClient (and a
-//    few tests) use — one call, one whole frame, the calling thread
-//    sleeps in recv/send until it is done.
+//  - read_frame()/write_frame(): the blocking helpers — one call, one
+//    whole frame, the calling thread sleeps in recv/send until it is
+//    done.  FrameConnection wraps them into the request/reply exchange
+//    AdrClient and the router's forwarders and prober all use.
 //  - FrameReader/FrameWriter: the incremental, non-blocking layer the
 //    FrameLoop behind AdrServer and AdrRouter is built on.  A FrameReader
 //    accumulates whatever bytes the socket happens to deliver and hands
@@ -23,6 +24,7 @@
 // frame is lifted off a connection — see frame_loop.cpp).
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -50,6 +52,49 @@ bool read_frame(int fd, std::vector<std::byte>& payload);
 
 /// Writes one frame; returns false on error.
 bool write_frame(int fd, const std::vector<std::byte>& payload);
+
+/// One blocking request/reply connection to 127.0.0.1:`port`, opened on
+/// demand.  Sockets are CLOEXEC with TCP_NODELAY, and a nonzero
+/// `recv_timeout` bounds every wait for a reply (a peer that stops
+/// answering without dying reads as a lost connection).  Not internally
+/// locked: the owner serialises exchanges.
+class FrameConnection {
+ public:
+  explicit FrameConnection(std::uint16_t port,
+                           std::chrono::milliseconds recv_timeout = {})
+      : port_(port), recv_timeout_(recv_timeout) {}
+  ~FrameConnection() { close(); }
+
+  FrameConnection(FrameConnection&& other) noexcept
+      : port_(other.port_), recv_timeout_(other.recv_timeout_), fd_(other.fd_) {
+    other.fd_ = -1;
+  }
+  FrameConnection(const FrameConnection&) = delete;
+  FrameConnection& operator=(const FrameConnection&) = delete;
+  FrameConnection& operator=(FrameConnection&&) = delete;
+
+  /// Connects unless already open; false when the connect fails.
+  bool connect();
+  bool connected() const { return fd_ >= 0; }
+  void close();
+
+  /// Where an exchange ended.  The split decides whether a request may
+  /// be resent: kConnectFailed means no byte ever reached the peer, so
+  /// the request provably never ran; after kLostAfterSend it may have.
+  enum class Outcome { kOk, kConnectFailed, kLostAfterSend };
+
+  /// Sends `frame` and reads one reply frame into `reply`, connecting
+  /// first if needed.  A send that fails on a connection kept from an
+  /// earlier exchange reconnects once, since the peer may have restarted
+  /// since then; nothing reached the new connection yet.  Any loss
+  /// closes the connection, so the next exchange reconnects.
+  Outcome exchange(const std::vector<std::byte>& frame, std::vector<std::byte>& reply);
+
+ private:
+  std::uint16_t port_;
+  std::chrono::milliseconds recv_timeout_;
+  int fd_ = -1;
+};
 
 /// Incremental frame reassembly for non-blocking sockets.
 ///

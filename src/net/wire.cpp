@@ -28,6 +28,14 @@ void check_version(Reader& r) {
   if (r.u8() != kVersion) throw WireError("wire: unsupported protocol version");
 }
 
+/// Converts an enum field of an untrusted frame, refusing values past
+/// `last`: they would match no case of the switches that dispatch on it.
+template <typename E, typename Raw>
+E checked_enum(Raw raw, E last, const char* what) {
+  if (raw > static_cast<Raw>(last)) throw WireError(std::string("wire: bad ") + what);
+  return static_cast<E>(raw);
+}
+
 }  // namespace
 
 void Writer::u8(std::uint8_t v) { buffer_.push_back(static_cast<std::byte>(v)); }
@@ -72,7 +80,9 @@ void Writer::rect(const Rect& r) {
 }
 
 void Reader::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) throw WireError("wire: truncated frame");
+  // pos_ never passes the end, so this cannot wrap the way pos_ + n can
+  // for a hostile length field.
+  if (n > data_.size() - pos_) throw WireError("wire: truncated frame");
 }
 
 std::uint8_t Reader::u8() {
@@ -199,9 +209,9 @@ WireQuery decode_query_frame(std::span<const std::byte> payload) {
   q.range = r.rect();
   q.map_function = r.str();
   q.aggregation = r.str();
-  q.strategy = static_cast<StrategyKind>(r.u8());
-  q.tiling_order = static_cast<TilingOrder>(r.u8());
-  q.delivery = static_cast<OutputDelivery>(r.u8());
+  q.strategy = checked_enum(r.u8(), StrategyKind::kAuto, "strategy");
+  q.tiling_order = checked_enum(r.u8(), TilingOrder::kRandom, "tiling order");
+  q.delivery = checked_enum(r.u8(), OutputDelivery::kDiscard, "delivery");
   q.seed = r.u64();
   const std::uint8_t flags = r.u8();
   wq.options.init_from_output = (flags & kOptInitFromOutput) != 0;
@@ -273,7 +283,7 @@ WireResult decode_result(std::span<const std::byte> payload) {
   WireResult out;
   const bool ok = r.u8() != 0;
   std::string error = r.str();
-  out.strategy = static_cast<StrategyKind>(r.u8());
+  out.strategy = checked_enum(r.u8(), StrategyKind::kAuto, "strategy");
   out.tiles = static_cast<int>(r.u32());
   out.ghost_chunks = r.u64();
   out.chunk_reads = r.u64();
@@ -282,7 +292,8 @@ WireResult decode_result(std::span<const std::byte> payload) {
   out.cache_hits = r.u64();
   out.cache_misses = r.u64();
   out.retry_after_ms = r.u32();
-  const auto code = static_cast<StatusCode>(r.u16());
+  const StatusCode code =
+      checked_enum(r.u16(), StatusCode::kDeadlineExceeded, "status code");
   // The ok flag stays authoritative: a failure frame whose code byte
   // says kOk still decodes to a failure.
   out.status = ok ? Status::make_ok()

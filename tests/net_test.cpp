@@ -8,13 +8,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <future>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/random.hpp"
 #include "net/client.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
@@ -240,6 +242,158 @@ TEST(Wire, QueryFrameRejectedAsResult) {
   EXPECT_THROW(decode_query_frame(encode_result(result)), WireError);
 }
 
+TEST(Wire, RejectsOutOfRangeEnums) {
+  // Query frames end strategy, tiling order, delivery, then 23 bytes of
+  // seed, exec options and Qos.
+  Query q;
+  q.range = Rect::cube(2, 0.0, 1.0);
+  const std::vector<std::byte> query = encode_query(q);
+  const std::size_t strategy_at = query.size() - 26;
+  for (std::size_t at : {strategy_at, strategy_at + 1, strategy_at + 2}) {
+    std::vector<std::byte> bad = query;
+    bad[at] = std::byte{9};
+    EXPECT_THROW(decode_query_frame(bad), WireError) << "byte " << at;
+  }
+  // The last valid value of each still decodes.
+  std::vector<std::byte> last = query;
+  last[strategy_at] = static_cast<std::byte>(StrategyKind::kAuto);
+  last[strategy_at + 1] = static_cast<std::byte>(TilingOrder::kRandom);
+  last[strategy_at + 2] = static_cast<std::byte>(OutputDelivery::kDiscard);
+  const WireQuery back = decode_query_frame(last);
+  EXPECT_EQ(back.query.strategy, StrategyKind::kAuto);
+  EXPECT_EQ(back.query.tiling_order, TilingOrder::kRandom);
+  EXPECT_EQ(back.query.delivery, OutputDelivery::kDiscard);
+
+  // Result frames: tag, version, ok flag, empty message (u32 length),
+  // strategy; the status code is the u16 after the fixed counters.
+  WireResult failed;
+  failed.status = Status::make(StatusCode::kIoError, "");
+  const std::vector<std::byte> result = encode_result(failed);
+  std::vector<std::byte> bad_strategy = result;
+  bad_strategy[7] = std::byte{9};
+  EXPECT_THROW(decode_result(bad_strategy), WireError);
+  std::vector<std::byte> bad_code = result;
+  bad_code[64] = std::byte{200};
+  EXPECT_THROW(decode_result(bad_code), WireError);
+  EXPECT_EQ(decode_result(result).status.code, StatusCode::kIoError);
+}
+
+TEST(Wire, HugeLengthIsWireError) {
+  // A chunk payload length near 2^64 would wrap a naive pos + n check.
+  WireResult result;
+  ChunkMeta meta;
+  meta.mbr = Rect::cube(2, 0.0, 1.0);
+  result.outputs.emplace_back(meta, std::vector<std::byte>(8, std::byte{1}));
+  std::vector<std::byte> frame = encode_result(result);
+  const std::size_t length_at = frame.size() - 16;  // u64 length, 8 payload bytes
+  for (const std::uint64_t n : {~std::uint64_t{0}, ~std::uint64_t{0} - 20,
+                                std::uint64_t{1} << 63}) {
+    for (int i = 0; i < 8; ++i) {
+      frame[length_at + i] = static_cast<std::byte>((n >> (8 * i)) & 0xff);
+    }
+    EXPECT_THROW(decode_result(frame), WireError) << n;
+  }
+}
+
+// A fixed-seed mutation sweep over the four frame decoders: flipped
+// bytes, truncations and inflated length fields may only ever surface
+// as WireError, and whatever decodes carries in-range enums.
+TEST(WireFuzz, MutatedFramesThrowOnlyWireError) {
+  Query q;
+  q.input_dataset = 3;
+  q.extra_input_datasets = {4, 5};
+  q.output_dataset = 6;
+  q.range = Rect(Point{0.0, 0.5, 1.0}, Point{2.0, 2.5, 3.0});
+  q.map_function = "identity";
+  q.aggregation = "sum-count-max";
+  q.strategy = StrategyKind::kDA;
+  q.delivery = OutputDelivery::kReturnToClient;
+  ExecOptions options;
+  options.qos = Qos::within(std::chrono::seconds(5), QosPriority::kInteractive);
+  WireResult result;
+  result.status = Status::make(StatusCode::kBusy, "server busy");
+  result.retry_after_ms = 40;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    ChunkMeta meta;
+    meta.id = {6, i};
+    meta.bytes = 16;
+    meta.mbr = Rect::cube(2, 0.0, 1.0);
+    result.outputs.emplace_back(meta, std::vector<std::byte>(16, std::byte{7}));
+  }
+  WireStatsRequest request;
+  request.include_trace = true;
+  request.history_samples = 12;
+  WireStatsReply reply;
+  reply.metrics_json = "{\"counters\":{}}";
+  reply.history_json = "[]";
+  const std::vector<std::vector<std::byte>> seeds = {
+      encode_query(q, options), encode_result(result), encode_stats_request(request),
+      encode_stats_reply(reply)};
+
+  std::uint64_t rng = 0x5eed;
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(splitmix64(rng) % n);
+  };
+  int decoded = 0;
+  for (const std::vector<std::byte>& seed : seeds) {
+    for (int round = 0; round < 2000; ++round) {
+      std::vector<std::byte> frame = seed;
+      switch (below(3)) {
+        case 0:  // flip one to four bytes
+          for (std::size_t k = below(4) + 1; k > 0; --k) {
+            frame[below(frame.size())] ^= static_cast<std::byte>(below(255) + 1);
+          }
+          break;
+        case 1:  // truncate
+          frame.resize(below(frame.size()));
+          break;
+        default: {  // inflate a u32 or u64 length field
+          const std::size_t width = below(2) == 0 ? 4 : 8;
+          if (frame.size() < width) break;
+          const std::size_t at = below(frame.size() - width + 1);
+          const std::uint64_t n = below(2) == 0 ? ~std::uint64_t{0} - below(64)
+                                                : splitmix64(rng);
+          for (std::size_t i = 0; i < width; ++i) {
+            frame[at + i] = static_cast<std::byte>((n >> (8 * i)) & 0xff);
+          }
+          break;
+        }
+      }
+      const auto expect_only_wire_error = [&](const char* decoder, auto&& decode) {
+        try {
+          decode();
+          ++decoded;
+        } catch (const WireError&) {
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << decoder << " threw a non-WireError on round " << round
+                        << ": " << e.what();
+        }
+      };
+      expect_only_wire_error("decode_query_frame", [&] {
+        const WireQuery wq = decode_query_frame(frame);
+        EXPECT_LE(static_cast<int>(wq.query.strategy), static_cast<int>(StrategyKind::kAuto));
+        EXPECT_LE(static_cast<int>(wq.query.tiling_order),
+                  static_cast<int>(TilingOrder::kRandom));
+        EXPECT_LE(static_cast<int>(wq.query.delivery),
+                  static_cast<int>(OutputDelivery::kDiscard));
+        EXPECT_LE(static_cast<int>(wq.options.qos.priority),
+                  static_cast<int>(QosPriority::kInteractive));
+      });
+      expect_only_wire_error("decode_result", [&] {
+        const WireResult r = decode_result(frame);
+        EXPECT_LE(static_cast<int>(r.strategy), static_cast<int>(StrategyKind::kAuto));
+        EXPECT_LE(static_cast<int>(r.status.code),
+                  static_cast<int>(StatusCode::kDeadlineExceeded));
+      });
+      expect_only_wire_error("decode_stats_request",
+                             [&] { (void)decode_stats_request(frame); });
+      expect_only_wire_error("decode_stats_reply", [&] { (void)decode_stats_reply(frame); });
+    }
+  }
+  // Some mutations (a flipped payload byte, say) leave a valid frame.
+  EXPECT_GT(decoded, 0);
+}
+
 // ----------------------------------------------------- client/server
 
 struct ServerFixture {
@@ -347,11 +501,25 @@ TEST(ClientServer, ServerSideErrorReturnedToClient) {
   EXPECT_TRUE(client.submit(fx.basic_query()).ok());
 }
 
+/// A submit to a port nothing listens on: one attempt under the default
+/// policy, reported as a connect-stage kUnavailable, never a throw.
+void expect_connect_failed(std::uint16_t port) {
+  std::optional<AdrClient> client;
+  ASSERT_NO_THROW(client.emplace(port));
+  EXPECT_FALSE(client->connected());
+  WireResult r;
+  ASSERT_NO_THROW(r = client->submit(Query{}));
+  EXPECT_EQ(r.status.code, StatusCode::kUnavailable);
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_NE(r.status.message.find("connect failed"), std::string::npos)
+      << r.status.message;
+}
+
 TEST(ClientServer, StopUnblocksAndRefusesNewClients) {
   ServerFixture fx;
   const std::uint16_t port = fx.server.port();
   fx.server.stop();
-  EXPECT_THROW(AdrClient{port}, std::runtime_error);
+  expect_connect_failed(port);
 }
 
 TEST(ClientServer, StatsEndpointReturnsLiveMetrics) {
@@ -430,7 +598,77 @@ TEST(ClientServer, ConnectToClosedPortFails) {
   AdrServer probe(repo, 0);
   const std::uint16_t dead_port = probe.port();
   probe.stop();  // release without ever starting
-  EXPECT_THROW(AdrClient{dead_port}, std::runtime_error);
+  expect_connect_failed(dead_port);
+}
+
+TEST(ClientServer, SubmitAfterBusyRefusalReconnects) {
+  ServerFixture fx;
+  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, {.max_connections = 1});
+  tight.start();
+  std::optional<AdrClient> first(std::in_place, tight.port());
+  ASSERT_TRUE(first->submit(fx.basic_query()).ok());  // slot registered
+  AdrClient second(tight.port());
+  ASSERT_TRUE(second.submit(fx.basic_query()).server_busy());
+  EXPECT_FALSE(second.connected());
+  first.reset();
+  // The slot frees once the server notices `first` closed; until then a
+  // submit may be refused again.  Each one reconnects on its own.
+  WireResult r;
+  for (int i = 0; i < 200; ++i) {
+    r = second.submit(fx.basic_query());
+    if (!r.server_busy()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  EXPECT_EQ(r.outputs.size(), 4u);
+  EXPECT_TRUE(second.connected());
+  tight.stop();
+}
+
+// The one backoff formula: AdrClient's retry loop and the router's
+// failover ladder both sleep RetryPolicy::backoff.
+TEST(RetryPolicy, BackoffDoublesCapsJittersAndHonorsHint) {
+  using std::chrono::milliseconds;
+  RetryPolicy p;
+  p.initial_backoff = milliseconds(10);
+  p.backoff_multiplier = 2.0;
+  p.max_backoff = milliseconds(50);
+  p.jitter = 0.0;
+  std::uint64_t state = 1;
+  EXPECT_EQ(p.backoff(1, 0, state), milliseconds(10));
+  EXPECT_EQ(p.backoff(2, 0, state), milliseconds(20));
+  EXPECT_EQ(p.backoff(3, 0, state), milliseconds(40));
+  EXPECT_EQ(p.backoff(4, 0, state), milliseconds(50));  // capped
+  EXPECT_EQ(p.backoff(30, 0, state), milliseconds(50));
+  EXPECT_EQ(state, 1u);  // no jitter, no draws
+
+  // The server's hint is a floor, not a replacement.
+  EXPECT_EQ(p.backoff(1, 35, state), milliseconds(35));
+  EXPECT_EQ(p.backoff(3, 35, state), milliseconds(40));
+  p.honor_retry_after = false;
+  EXPECT_EQ(p.backoff(1, 35, state), milliseconds(10));
+  p.honor_retry_after = true;
+
+  // Jitter scales by a factor in [1-j, 1+j) drawn from the caller's
+  // splitmix64 stream: one draw per call, replayable from the seed.
+  p.jitter = 0.5;
+  std::uint64_t replay = 99;
+  state = 99;
+  const double u = splitmix_unit(replay);
+  EXPECT_EQ(p.backoff(2, 0, state),
+            milliseconds(static_cast<std::int64_t>(20.0 * (0.5 + u))));
+  EXPECT_EQ(state, replay);
+  std::set<std::int64_t> seen;
+  for (int i = 0; i < 200; ++i) {
+    const milliseconds d = p.backoff(2, 0, state);
+    EXPECT_EQ(d, p.backoff(2, 0, replay));
+    EXPECT_GE(d, milliseconds(10));
+    EXPECT_LT(d, milliseconds(30));
+    seen.insert(d.count());
+    EXPECT_GE(p.backoff(1, 100, state), milliseconds(100));  // jitter never undercuts the hint
+    (void)p.backoff(1, 100, replay);
+  }
+  EXPECT_GT(seen.size(), 5u);
 }
 
 // --------------------------------------------- fault-injected serving
@@ -527,77 +765,6 @@ TEST(FaultServing, BusyRefusalIsRetriedAfterServerHint) {
   EXPECT_GE(obs::metrics().counter("client.gave_up").value(),
             gave_up_before + 1);
   tight.stop();
-}
-
-TEST(FaultServing, AsyncQueueDrainsThroughRetries) {
-  ServerFixture fx;
-  fault::ScopedFaultPlan plan(/*seed=*/33);
-  fault::FaultSpec drop;
-  drop.trigger = fault::Trigger::kEveryNth;
-  drop.every_nth = 3;
-  drop.max_fires = 2;
-  plan.arm("net.reply_drop", drop);
-
-  RetryPolicy policy;
-  policy.max_attempts = 6;
-  policy.initial_backoff = std::chrono::milliseconds(2);
-  policy.max_pending = 4;
-  policy.seed = 3;
-  AdrClient client(fx.server.port(), policy);
-  std::vector<std::future<WireResult>> futures;
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(client.submit_async(fx.basic_query()));
-  }
-  for (auto& f : futures) {
-    const WireResult result = f.get();
-    ASSERT_TRUE(result.ok()) << result.status.to_string();
-    EXPECT_EQ(output_sum(result), 120u);
-  }
-  EXPECT_EQ(client.pending(), 0u);
-}
-
-TEST(FaultServing, PendingQueueIsBounded) {
-  // No server behind this port: the sender thread gets stuck retrying
-  // the first query (long backoff), so the queue demonstrably fills.
-  Repository repo([] {
-    RepositoryConfig cfg;
-    cfg.num_nodes = 1;
-    return cfg;
-  }());
-  AdrServer probe(repo, 0);
-  const std::uint16_t dead_port = probe.port();
-  probe.stop();
-
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff = std::chrono::milliseconds(400);
-  policy.max_backoff = std::chrono::milliseconds(400);
-  policy.jitter = 0.0;
-  policy.max_pending = 1;
-  policy.seed = 4;
-  AdrClient client(dead_port, policy);
-
-  Query q;  // never reaches a server; content is irrelevant
-  q.range = Rect::cube(2, 0.0, 1.0);
-  auto first = client.submit_async(q);
-  // Wait for the sender to take the first item into its backoff sleep.
-  for (int i = 0; i < 200 && client.pending() != 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(client.pending(), 0u);
-  auto second = client.submit_async(q);  // fills the single slot
-  EXPECT_EQ(client.pending(), 1u);
-  // Queue full: the non-blocking submit refuses instead of queueing.
-  EXPECT_FALSE(client.try_submit_async(q).has_value());
-
-  const WireResult r1 = first.get();
-  EXPECT_FALSE(r1.ok());
-  EXPECT_EQ(r1.status.code, StatusCode::kUnavailable);
-  EXPECT_EQ(r1.attempts, 3u);  // every attempt failed to connect
-  // The second future resolves too — either exhausted the same way or
-  // failed by the destructor's drain; no future may dangle.
-  const WireResult r2 = second.get();
-  EXPECT_FALSE(r2.ok());
 }
 
 TEST(FaultServing, EightClientsSurviveSeededFaultPlanByteIdentically) {

@@ -227,7 +227,7 @@ TEST(Qos, ClientStopsRetryingAtDeadline) {
   q.aggregation = "sum-count-max";
 
   const auto t0 = std::chrono::steady_clock::now();
-  const net::WireResult r = client.submit(q, Qos::within(150ms));
+  const net::WireResult r = client.submit(q, {.qos = Qos::within(150ms)});
   const auto elapsed = std::chrono::steady_clock::now() - t0;
 
   EXPECT_FALSE(r.ok());
@@ -251,7 +251,7 @@ TEST(Qos, ServerRefusesExpiredDeadlineAtAdmission) {
   // connection usable.
   Qos hopeless;
   hopeless.deadline = std::chrono::steady_clock::now() - 5ms;
-  const net::WireResult refused = client.submit(basic_query(in, out), hopeless);
+  const net::WireResult refused = client.submit(basic_query(in, out), {.qos = hopeless});
   EXPECT_FALSE(refused.ok());
   EXPECT_EQ(refused.status.code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(server.deadline_refusals(), 1u);
