@@ -60,7 +60,7 @@ double run_mode(emu::PaperApp app, int nodes, StrategyKind strategy, int chunks,
   ExecOptions options;
   options.pipeline_tiles = pipelined;
   options.comm_cpu_bytes_per_sec = machine.link.cpu_overhead_bytes_per_sec;
-  return execute_query(executor, planned, input, output, nullptr, a.costs, 1, options)
+  return execute_query(executor, planned, input, output, nullptr, a.costs, options)
       .total_s;
 }
 

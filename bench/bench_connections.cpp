@@ -199,7 +199,6 @@ int main(int argc, char** argv) {
   // A small dataset: the probe latency should be dominated by the
   // serving path (accept, frame, schedule, reply), not execution.
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = 2;
   cfg.memory_per_node = 1 << 20;
   Repository repo(cfg);

@@ -89,7 +89,6 @@ constexpr int kDatasets = 8;
 
 RepositoryConfig repo_config() {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = 2;
   cfg.memory_per_node = 1 << 20;
   // A capacity bench, not a cache bench: with the caches on, repeated

@@ -158,7 +158,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 ConfigResult run_config(const Args& args, bool cache,
                         const std::filesystem::path& dir) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
@@ -197,7 +196,7 @@ ConfigResult run_config(const Args& args, bool cache,
     const auto it0 = std::chrono::steady_clock::now();
     const QueryResult warm = repo.submit(query);
     warm_lat.observe(seconds_since(it0));
-    hits += warm.cache_hits;
+    hits += warm.stats.cache_hits;
     if (warm.outputs.size() != cold.outputs.size() ||
         warm.outputs[0].payload() != cold.outputs[0].payload()) {
       std::cerr << "bench: warm result diverged from cold result\n";
@@ -244,7 +243,6 @@ struct OverlapResult {
 OverlapConfigResult run_overlap_config(const Args& args, bool with_marginal,
                                        const std::filesystem::path& dir) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
@@ -280,7 +278,7 @@ OverlapConfigResult run_overlap_config(const Args& args, bool with_marginal,
   for (int pass = 0; pass < passes; ++pass) {
     for (std::size_t w = 0; w < windows.size(); ++w) {
       const QueryResult warm = repo.submit(windows[w]);
-      r.warm_cold_reads += warm.cache_misses;
+      r.warm_cold_reads += warm.stats.cache_misses;
       r.warm_aggregate_pairs += warm.stats.total_lr_pairs();
       r.warm_marginal_hits += warm.marginal_hits;
       r.warm_marginal_misses += warm.marginal_misses;
@@ -329,7 +327,6 @@ struct TelemetryOverheadResult {
 TelemetryOverheadResult run_telemetry_overhead(const Args& args,
                                                const std::filesystem::path& dir) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
@@ -390,7 +387,6 @@ struct OverloadResult {
 // instead of growing an unbounded FIFO tail.
 OverloadResult run_overload(const Args& args, const std::filesystem::path& dir) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
@@ -551,7 +547,6 @@ int run_overload_mode(const Args& args) {
 // the lifecycle spans as a Chrome trace (the CI Perfetto artifact).
 void write_trace_sample(const Args& args, const std::filesystem::path& dir) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;

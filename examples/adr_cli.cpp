@@ -51,7 +51,6 @@ StrategyKind parse_strategy(const std::string& s) {
 
 RepositoryConfig farm_config(const std::filesystem::path& dir, bool open_existing) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = kNodes;
   cfg.memory_per_node = 4 << 20;
   cfg.storage_dir = dir / "farm";

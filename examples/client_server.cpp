@@ -62,7 +62,6 @@ std::vector<Chunk> summary_chunks() {
 int main() {
   // ---- back end + front end ----
   RepositoryConfig config;
-  config.backend = RepositoryConfig::Backend::kThreads;
   config.num_nodes = 4;
   config.memory_per_node = 1 << 20;
   Repository repo(config);

@@ -21,7 +21,6 @@ constexpr int kReadings = 4000;
 
 RepositoryConfig farm_config(const std::filesystem::path& dir, bool open_existing) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = 4;
   cfg.memory_per_node = 1 << 20;
   cfg.storage_dir = dir / "farm";

@@ -60,7 +60,6 @@ int main() {
   // 1. Stand up a repository: 4 back-end nodes, one disk each, running
   //    on real threads.
   RepositoryConfig config;
-  config.backend = RepositoryConfig::Backend::kThreads;
   config.num_nodes = 4;
   config.memory_per_node = 1 << 20;
   Repository repo(config);

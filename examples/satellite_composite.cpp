@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "composite.pgm";
 
   RepositoryConfig config;
-  config.backend = RepositoryConfig::Backend::kThreads;
   config.num_nodes = 4;
   config.memory_per_node = 4 << 20;
   Repository repo(config);

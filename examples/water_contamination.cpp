@@ -128,7 +128,6 @@ std::vector<Chunk> make_chem_chunks() {
 
 int main() {
   RepositoryConfig config;
-  config.backend = RepositoryConfig::Backend::kThreads;
   config.num_nodes = 4;
   config.memory_per_node = 4 << 20;
   Repository repo(config);

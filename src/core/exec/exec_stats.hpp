@@ -83,12 +83,12 @@ struct ExecStats {
   double thread_cpu_s = 0.0;
   int tiles = 0;
 
-  /// Cross-query chunk-cache traffic attributed to this query (thread
-  /// backend with CachingChunkStore; all zero otherwise).  The cache sits
-  /// below the engine, so chunks_read / bytes_read above are unchanged —
-  /// these say how many of those reads were served from memory.  Under
-  /// concurrent submits the attribution is approximate (counters are
-  /// shared across in-flight queries).
+  /// Cross-query chunk-cache traffic attributed to this query (filled by
+  /// Repository when its chunk cache is on; all zero otherwise).  The
+  /// cache sits below the engine, so chunks_read / bytes_read above are
+  /// unchanged — these say how many of those reads were served from
+  /// memory.  Under concurrent submits the attribution is approximate
+  /// (counters are shared across in-flight queries).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;

@@ -21,8 +21,7 @@ class Engine {
  public:
   Engine(Executor& executor, const PlannedQuery& pq,
          std::vector<const Dataset*> inputs, const Dataset& output,
-         const AggregationOp* op, const ComputeCosts& costs, int disks_per_node,
-         const ExecOptions& options)
+         const AggregationOp* op, const ComputeCosts& costs, const ExecOptions& options)
       : exec_(executor),
         pq_(pq),
         plan_(pq.plan),
@@ -31,7 +30,6 @@ class Engine {
         op_(op),
         costs_(costs),
         options_(options) {
-    (void)disks_per_node;  // placement already encodes node-of-disk
     const int nodes = plan_.num_nodes;
     if (exec_.num_nodes() != nodes) {
       throw std::invalid_argument("execute_query: plan/executor node count mismatch");
@@ -78,6 +76,9 @@ class Engine {
     /// from faster peers can arrive before the entry task and must wait.
     bool started = false;
     bool issued = false;
+    /// Phase syncs entered so far (the epoch of the lag-0 window that
+    /// stands for a per-phase barrier when tiles are not pipelined).
+    int syncs = 0;
     int outstanding = 0;
     int ghost_inits_received = 0;
     int inputs_received = 0;
@@ -86,7 +87,7 @@ class Engine {
     std::unordered_map<std::uint32_t, std::vector<std::byte>> accums;
     std::uint64_t accum_resident = 0;
     /// Messages that arrived before this node entered their phase.  A
-    /// sender released early from a barrier can race one phase ahead of
+    /// sender released early from a phase sync can race one phase ahead of
     /// a receiver still waiting on its own release callback, so arrivals
     /// may be (at most) one phase early; they are replayed on entry.
     std::vector<Message> deferred;
@@ -171,7 +172,9 @@ class Engine {
         transition(node);
       }
     } else {
-      exec_.barrier(node, [this, node]() { transition(node); });
+      // Lag 0: every node must finish this phase first, a global barrier.
+      exec_.window_sync(node, st.syncs++, /*lag=*/0,
+                        [this, node]() { transition(node); });
     }
   }
 
@@ -237,30 +240,11 @@ class Engine {
 
     for (std::uint32_t o : tp.local_accum) {
       ++st.outstanding;
-      if (options_.init_from_output) {
-        const ChunkMeta& meta = output_meta(o);
-        exec_.read(node, meta.disk, meta.id, meta.bytes,
-                   [this, node, o](std::optional<Chunk> chunk) {
-                     on_output_chunk_read(node, o, std::move(chunk));
-                   });
-      } else {
-        exec_.compute(node, costs_.init, [this, node, o]() {
-          install_accumulator(node, o, /*existing=*/nullptr);
-          op_done(node);
-        });
-        nstats(node).compute_init_s += costs_.init;
-      }
-    }
-    if (!options_.init_from_output) {
-      // Ghosts initialize locally; no communication happens.
-      for (std::uint32_t o : tp.ghost_accum) {
-        ++st.outstanding;
-        exec_.compute(node, costs_.init, [this, node, o]() {
-          install_accumulator(node, o, nullptr);
-          op_done(node);
-        });
-        nstats(node).compute_init_s += costs_.init;
-      }
+      const ChunkMeta& meta = output_meta(o);
+      exec_.read(node, meta.disk, meta.id, meta.bytes,
+                 [this, node, o](std::optional<Chunk> chunk) {
+                   on_output_chunk_read(node, o, std::move(chunk));
+                 });
     }
     st.issued = true;
     check_phase(node);
@@ -614,11 +598,9 @@ class Engine {
     if (!st.issued || st.outstanding > 0) return;
     const NodeTilePlan& tp = tile_plan(node, st.tile);
     switch (st.phase) {
-      case Phase::kInit: {
-        const int expected = options_.init_from_output ? tp.expected_ghost_inits : 0;
-        if (st.ghost_inits_received < expected) return;
+      case Phase::kInit:
+        if (st.ghost_inits_received < tp.expected_ghost_inits) return;
         break;
-      }
       case Phase::kLocalReduction:
         if (st.inputs_received < tp.expected_inputs) return;
         break;
@@ -632,7 +614,7 @@ class Engine {
       st.spans.push_back(PhaseSpan{node, st.tile, static_cast<int>(st.phase),
                                    st.phase_start_s, exec_.now_seconds()});
     }
-    st.issued = false;  // ensure a single barrier entry per phase
+    st.issued = false;  // ensure a single sync entry per phase
     advance_phase(node);
   }
 
@@ -644,7 +626,7 @@ class Engine {
     if (!st.started || msg.tile != static_cast<std::uint32_t>(st.tile) ||
         st.phase != phase_of(msg.tag)) {
       // The sender runs ahead of this node (at most one phase under
-      // barriers, one tile under pipelining); stale messages are
+      // per-phase syncs, one tile under pipelining); stale messages are
       // impossible because phase completion counts them first.
       assert(!st.started || msg.tile > static_cast<std::uint32_t>(st.tile) ||
              (msg.tile == static_cast<std::uint32_t>(st.tile) &&
@@ -711,17 +693,16 @@ class Engine {
 ExecStats execute_query(Executor& executor, const PlannedQuery& pq,
                         const Dataset& input, const Dataset& output,
                         const AggregationOp* op, const ComputeCosts& costs,
-                        int disks_per_node, const ExecOptions& options) {
-  Engine engine(executor, pq, {&input}, output, op, costs, disks_per_node, options);
+                        const ExecOptions& options) {
+  Engine engine(executor, pq, {&input}, output, op, costs, options);
   return engine.run();
 }
 
 ExecStats execute_query(Executor& executor, const PlannedQuery& pq,
                         const std::vector<const Dataset*>& inputs,
                         const Dataset& output, const AggregationOp* op,
-                        const ComputeCosts& costs, int disks_per_node,
-                        const ExecOptions& options) {
-  Engine engine(executor, pq, inputs, output, op, costs, disks_per_node, options);
+                        const ComputeCosts& costs, const ExecOptions& options) {
+  Engine engine(executor, pq, inputs, output, op, costs, options);
   return engine.run();
 }
 

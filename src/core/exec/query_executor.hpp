@@ -14,9 +14,11 @@
 //      write them back to the local disks
 //
 // — reacting to I/O, message and compute completions, exactly the
-// operation-queue structure the paper describes.  Phases are separated by
-// barriers; message counts expected by each phase come from the plan, so
-// no additional coordination traffic is needed.
+// operation-queue structure the paper describes.  Nodes pace their phases
+// by the message counts each phase expects, which come from the plan, so
+// no additional coordination traffic is needed; tiles are separated by a
+// lag-1 sliding window (or, without pipelining, every phase by a lag-0
+// window: a global barrier).
 //
 // The engine runs metadata-only (op == nullptr: costs and volumes are
 // exact, payloads absent) or with real payloads and a real AggregationOp.
@@ -46,9 +48,6 @@ struct ExecOptions {
   /// priority class, drop-on-expiry flag (core/qos.hpp).  The scheduler
   /// and server honor it; execution itself never aborts mid-query.
   Qos qos;
-  /// Charge the initialization-phase output read + ghost broadcast
-  /// (paper Fig. 7 "communication for replicated output blocks").
-  bool init_from_output = true;
   /// Write final output chunks back to the disk farm.  Repository::submit
   /// overrides it (and output_sink) from Query::delivery.
   bool write_output = true;
@@ -60,7 +59,8 @@ struct ExecOptions {
   /// network operations and processing as much as possible"): each node
   /// advances through its phases independently, paced by expected message
   /// counts, and may run one tile ahead of the slowest node.  When false,
-  /// every phase ends in a global barrier (the ablation baseline).
+  /// every phase ends in a lag-0 window, a global barrier (the ablation
+  /// baseline).
   bool pipeline_tiles = true;
   /// Record per-node phase spans into ExecStats::trace (see
   /// render_gantt / trace_to_csv).
@@ -87,14 +87,13 @@ struct ExecOptions {
 ExecStats execute_query(Executor& executor, const PlannedQuery& pq,
                         const Dataset& input, const Dataset& output,
                         const AggregationOp* op, const ComputeCosts& costs,
-                        int disks_per_node, const ExecOptions& options = {});
+                        const ExecOptions& options = {});
 
 /// Multi-input variant: `inputs` must list the datasets in the order the
 /// plan's `input_dataset_of` ordinals refer to.
 ExecStats execute_query(Executor& executor, const PlannedQuery& pq,
                         const std::vector<const Dataset*>& inputs,
                         const Dataset& output, const AggregationOp* op,
-                        const ComputeCosts& costs, int disks_per_node,
-                        const ExecOptions& options = {});
+                        const ComputeCosts& costs, const ExecOptions& options = {});
 
 }  // namespace adr

@@ -14,8 +14,8 @@
 #include "obs/metrics.hpp"
 #include "obs/query_cost.hpp"
 #include "obs/trace.hpp"
-#include "runtime/sim_executor.hpp"
 #include "runtime/thread_executor.hpp"
+#include "sim/cluster.hpp"
 #include "storage/catalog.hpp"
 #include "storage/loader.hpp"
 
@@ -34,7 +34,7 @@ struct SubmitMetrics {
   /// End-to-end latency split by the strategy the planner chose
   /// (indexed by StrategyKind kFRA..kHybrid).
   std::array<obs::Histogram*, 4> by_strategy;
-  /// Executed thread-backend queries' phase times: I, LR, GC, OH.
+  /// Executed queries' phase times: I, LR, GC, OH.
   std::array<obs::Histogram*, 4> phase;
 };
 
@@ -164,23 +164,17 @@ Repository::Repository(const RepositoryConfig& config) : config_(config) {
     store_ = std::make_unique<FileChunkStore>(
         config_.storage_dir, config_.total_disks(), config_.open_existing);
   }
-  // The chunk cache serves the real (thread) backend: repeated queries
-  // over warm regions and FRA tile-boundary re-reads stop paying storage
-  // latency.  The simulated backend charges modelled I/O times that a
-  // real cache must not short-circuit.
-  if (config_.backend == RepositoryConfig::Backend::kThreads &&
-      config_.chunk_cache_bytes_per_node > 0) {
+  // With the chunk cache, repeated queries over warm regions and FRA
+  // tile-boundary re-reads stop paying storage latency.
+  if (config_.chunk_cache_bytes_per_node > 0) {
     const std::uint64_t per_disk = std::max<std::uint64_t>(
         1, config_.chunk_cache_bytes_per_node /
                static_cast<std::uint64_t>(config_.disks_per_node));
     cache_ = std::make_unique<CachingChunkStore>(*store_, per_disk);
   }
   // The marginal cache reuses *aggregates* where the chunk cache reuses
-  // bytes; it needs real payloads to have real partials, and like the
-  // chunk cache it must not short-circuit the simulated backend's
-  // modelled I/O.
-  if (config_.backend == RepositoryConfig::Backend::kThreads &&
-      config_.store_payloads && config_.marginal_cache_bytes > 0) {
+  // bytes.
+  if (config_.marginal_cache_bytes > 0) {
     marginal_cache_ = std::make_unique<MarginalCache>(config_.marginal_cache_bytes);
     // Route every store write through the invalidating decorator so
     // out-of-band put/erase (repo.store() callers) bump data versions
@@ -189,10 +183,8 @@ Repository::Repository(const RepositoryConfig& config) : config_(config) {
     invalidating_store_ = std::make_unique<MarginalInvalidatingStore>(
         cache_ ? static_cast<ChunkStore&>(*cache_) : *store_, *marginal_cache_);
   }
-  if (config_.backend == RepositoryConfig::Backend::kThreads) {
-    executor_pool_ = std::make_unique<ThreadExecutorPool>(
-        config_.num_nodes, config_.disks_per_node, &active_store());
-  }
+  executor_pool_ = std::make_unique<ThreadExecutorPool>(
+      config_.num_nodes, config_.disks_per_node, &active_store());
 }
 
 ChunkCacheStats Repository::chunk_cache_stats() const {
@@ -204,7 +196,7 @@ MarginalCacheStats Repository::marginal_cache_stats() const {
 }
 
 ThreadExecutorPool::Stats Repository::executor_pool_stats() const {
-  return executor_pool_ ? executor_pool_->stats() : ThreadExecutorPool::Stats{};
+  return executor_pool_->stats();
 }
 
 std::uint32_t Repository::create_dataset(const std::string& name, const Rect& domain,
@@ -215,7 +207,6 @@ std::uint32_t Repository::create_dataset(const std::string& name, const Rect& do
   LoadOptions options;
   options.decluster.method = method;
   options.decluster.num_disks = config_.total_disks();
-  options.store_payloads = config_.store_payloads;
   Dataset ds = load_dataset(id, name, domain, std::move(chunks), active_store(), options);
   ADR_INFO("loaded dataset '" << name << "' id=" << id << " chunks=" << ds.num_chunks()
                               << " bytes=" << ds.total_bytes());
@@ -308,11 +299,9 @@ Repository::Prepared Repository::prepare_locked(const Query& query,
   request.order = query.tiling_order;
   request.seed = query.seed;
   request.costs = costs;
-  request.machine.disk_seek_s = sim::to_seconds(config_.machine.disk.seek);
-  request.machine.disk_bw_bytes_per_s = config_.machine.disk.bandwidth_bytes_per_sec;
-  request.machine.net_latency_s = sim::to_seconds(config_.machine.link.latency);
-  request.machine.net_bw_bytes_per_s = config_.machine.link.bandwidth_bytes_per_sec;
-  request.machine.comm_cpu_bytes_per_s = config_.machine.link.cpu_overhead_bytes_per_sec;
+  // kAuto weighs candidate plans with the paper's SP machine model, not
+  // one calibrated for the threads the query runs on.
+  request.machine = machine_params(sim::ibm_sp_profile(config_.num_nodes));
   request.machine.disks_per_node = config_.disks_per_node;
   return p;
 }
@@ -507,10 +496,6 @@ QueryResult Repository::execute_planned_locked(const Query& query,
   const std::uint64_t qid = obs::trace_query();
 
   ExecOptions options = exec_options;
-  if (config_.backend == RepositoryConfig::Backend::kSimulated &&
-      options.comm_cpu_bytes_per_sec == 0.0) {
-    options.comm_cpu_bytes_per_sec = config_.machine.link.cpu_overhead_bytes_per_sec;
-  }
 
   // Output delivery: write back, return to the client, or discard.
   std::mutex sink_mutex;
@@ -572,57 +557,37 @@ QueryResult Repository::execute_planned_locked(const Query& query,
 
   const std::uint64_t exec_ts_us = tracing ? tr.now_us() : 0;
 
-  if (config_.backend == RepositoryConfig::Backend::kSimulated) {
-    sim::ClusterConfig machine = config_.machine;
-    machine.num_nodes = config_.num_nodes;
-    machine.disks_per_node = config_.disks_per_node;
-    machine.accumulator_memory_bytes = config_.memory_per_node;
-    sim::SimCluster cluster(machine);
-    SimExecutor executor(&cluster, config_.store_payloads ? store_.get() : nullptr);
-    result.stats = execute_query(executor, planned, prepared.all_inputs, *prepared.output,
-                                 prepared.op, costs, config_.disks_per_node, options);
-    // The simulator's modelled I/O is never cached, so the ledger bills
-    // every read cold.
+  const ChunkCacheStats cache_before = cache_ ? cache_->stats() : ChunkCacheStats{};
+  {
+    // Exclusive lease on a warm executor; released (kept resident)
+    // when the lease leaves scope.
+    ThreadExecutorPool::Lease lease = executor_pool_->acquire();
+    result.stats = execute_query(*lease, planned, prepared.all_inputs, *prepared.output,
+                                 prepared.op, costs, options);
+  }
+  const std::array<obs::Histogram*, 4>& phase = submit_metrics().phase;
+  phase[0]->observe(result.stats.phase_init_s);
+  phase[1]->observe(result.stats.phase_lr_s);
+  phase[2]->observe(result.stats.phase_gc_s);
+  phase[3]->observe(result.stats.phase_oh_s);
+  if (cache_ != nullptr) {
+    const ChunkCacheStats after = cache_->stats();
+    result.stats.cache_hits = after.hits - cache_before.hits;
+    result.stats.cache_misses = after.misses - cache_before.misses;
+    result.stats.cache_evictions = after.evictions - cache_before.evictions;
+    // Cost ledger: the cache's hit/miss byte deltas split this query's
+    // reads by temperature (same concurrent-submit attribution caveat
+    // as stats.cache_hits).
+    result.cost.cached_chunks = result.stats.cache_hits;
+    result.cost.cached_bytes = after.hit_bytes - cache_before.hit_bytes;
+    result.cost.cold_chunks = result.stats.cache_misses;
+    result.cost.cold_bytes = after.miss_bytes - cache_before.miss_bytes;
+  } else {
+    // No cache below the engine: every chunk the nodes read was cold.
     for (const NodeStats& n : result.stats.nodes) {
       result.cost.cold_chunks += n.chunks_read;
     }
     result.cost.cold_bytes = result.stats.total_bytes_read();
-  } else {
-    const ChunkCacheStats cache_before = cache_ ? cache_->stats() : ChunkCacheStats{};
-    {
-      // Exclusive lease on a warm executor; released (kept resident)
-      // when the lease leaves scope.
-      ThreadExecutorPool::Lease lease = executor_pool_->acquire();
-      result.stats = execute_query(*lease, planned, prepared.all_inputs, *prepared.output,
-                                   prepared.op, costs, config_.disks_per_node, options);
-    }
-    const std::array<obs::Histogram*, 4>& phase = submit_metrics().phase;
-    phase[0]->observe(result.stats.phase_init_s);
-    phase[1]->observe(result.stats.phase_lr_s);
-    phase[2]->observe(result.stats.phase_gc_s);
-    phase[3]->observe(result.stats.phase_oh_s);
-    if (cache_ != nullptr) {
-      const ChunkCacheStats after = cache_->stats();
-      result.stats.cache_hits = after.hits - cache_before.hits;
-      result.stats.cache_misses = after.misses - cache_before.misses;
-      result.stats.cache_evictions = after.evictions - cache_before.evictions;
-      result.cache_hits = result.stats.cache_hits;
-      result.cache_misses = result.stats.cache_misses;
-      result.cache_evictions = result.stats.cache_evictions;
-      // Cost ledger: the cache's hit/miss byte deltas split this query's
-      // reads by temperature (same concurrent-submit attribution caveat
-      // as cache_hits above).
-      result.cost.cached_chunks = result.stats.cache_hits;
-      result.cost.cached_bytes = after.hit_bytes - cache_before.hit_bytes;
-      result.cost.cold_chunks = result.stats.cache_misses;
-      result.cost.cold_bytes = after.miss_bytes - cache_before.miss_bytes;
-    } else {
-      // No cache below the engine: every chunk the nodes read was cold.
-      for (const NodeStats& n : result.stats.nodes) {
-        result.cost.cold_chunks += n.chunks_read;
-      }
-      result.cost.cold_bytes = result.stats.total_bytes_read();
-    }
   }
 
   if (marginal_active) {
@@ -641,21 +606,17 @@ QueryResult Repository::execute_planned_locked(const Query& query,
   if (tracing) {
     tr.record({"execute", "serving", qid, exec_ts_us, tr.now_us() - exec_ts_us,
                static_cast<std::uint32_t>(qid), -1});
-    // Re-base the engine's per-node phase timeline onto the tracer clock
-    // (thread backend only: the simulated backend's spans are in virtual
-    // seconds that do not line up with wall time).
-    if (config_.backend == RepositoryConfig::Backend::kThreads) {
-      for (const PhaseSpan& span : result.stats.trace) {
-        obs::TraceEvent e;
-        e.name = phase_name(span.phase);
-        e.cat = "phase";
-        e.query = qid;
-        e.ts_us = exec_ts_us + static_cast<std::uint64_t>(span.start_s * 1e6);
-        e.dur_us = static_cast<std::uint64_t>(span.duration_s() * 1e6);
-        e.tid = static_cast<std::uint32_t>(span.node);
-        e.tile = span.tile;
-        tr.record(e);
-      }
+    // Re-base the engine's per-node phase timeline onto the tracer clock.
+    for (const PhaseSpan& span : result.stats.trace) {
+      obs::TraceEvent e;
+      e.name = phase_name(span.phase);
+      e.cat = "phase";
+      e.query = qid;
+      e.ts_us = exec_ts_us + static_cast<std::uint64_t>(span.start_s * 1e6);
+      e.dur_us = static_cast<std::uint64_t>(span.duration_s() * 1e6);
+      e.tid = static_cast<std::uint32_t>(span.node);
+      e.tile = span.tile;
+      tr.record(e);
     }
   }
 

@@ -4,8 +4,9 @@
 // owns the attribute-space, dataset, indexing and aggregation services,
 // accepts range queries through the query interface service, plans them
 // with the query planning service and executes them on the parallel
-// back-end — here either the simulated IBM SP (virtual time) or the
-// thread-backed in-process cluster (real payloads).
+// back-end: the thread-backed in-process cluster (real payloads, wall
+// time).  The simulated IBM SP is reached through emu::run_scenario,
+// never through a Repository.
 //
 // Typical use:
 //
@@ -49,7 +50,6 @@
 #include "core/query.hpp"
 #include "obs/query_cost.hpp"
 #include "runtime/executor_pool.hpp"
-#include "sim/cluster.hpp"
 #include "storage/chunk_cache.hpp"
 #include "storage/dataset.hpp"
 #include "storage/decluster.hpp"
@@ -59,21 +59,15 @@
 namespace adr {
 
 struct RepositoryConfig {
-  enum class Backend {
-    kSimulated,  // virtual time on the modelled cluster
-    kThreads,    // real threads, wall time
-  };
+  /// Inert: queries always run on threads.  Kept only because the
+  /// end-to-end bench still assigns kThreads; nothing reads it.
+  enum class Backend { kThreads };
   Backend backend = Backend::kThreads;
 
   int num_nodes = 4;
   int disks_per_node = 1;
   /// Per-node memory budget for accumulator chunks (drives tiling).
   std::uint64_t memory_per_node = 32ull * 1024 * 1024;
-  /// Hardware model for the simulated backend (nodes/disks fields are
-  /// overridden by the values above).
-  sim::ClusterConfig machine = sim::ibm_sp_profile(4);
-  /// Keep chunk payloads in the store (false = metadata-only).
-  bool store_payloads = true;
   /// Non-empty: back the disk farm with files under this directory
   /// (FileChunkStore) instead of memory.
   std::filesystem::path storage_dir;
@@ -81,13 +75,12 @@ struct RepositoryConfig {
   /// (pair with load_catalog() to restore the dataset metadata).
   bool open_existing = false;
   /// Per-node byte budget for the cross-query chunk cache wrapped around
-  /// the store on the thread backend (split evenly over the node's
-  /// disks).  0 disables the cache.  The simulated backend never caches:
-  /// its I/O costs are modelled, not paid.
+  /// the store (split evenly over the node's disks).  0 disables the
+  /// cache.
   std::uint64_t chunk_cache_bytes_per_node = 64ull * 1024 * 1024;
   /// Byte budget for the marginal cache: finalized per-output-chunk
-  /// aggregation partials reused across overlapping queries (thread
-  /// backend with payloads only; see docs/caching.md).  A query whose
+  /// aggregation partials reused across overlapping queries (see
+  /// docs/caching.md).  A query whose
   /// output chunk has the same contributing input set as a cached
   /// partial skips that chunk's I/O *and* aggregation.  0 disables it.
   std::uint64_t marginal_cache_bytes = 32ull * 1024 * 1024;
@@ -100,11 +93,6 @@ struct QueryResult {
   int tiles = 0;
   std::uint64_t ghost_chunks = 0;
   std::uint64_t chunk_reads = 0;
-  /// Chunk-cache traffic attributed to this query (mirrors
-  /// stats.cache_*; zero when the cache is disabled).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
   /// Marginal-cache attribution: output chunks of this query served
   /// from cached partials vs executed cold (zeros when the cache is
   /// disabled or the query is not cacheable; see docs/caching.md).
@@ -164,7 +152,7 @@ class Repository {
   /// Marginal-cache counters so far (zeros when disabled).
   MarginalCacheStats marginal_cache_stats() const;
 
-  /// Executor-pool counters so far (zeros on the simulated backend).
+  /// Executor-pool counters so far.
   ThreadExecutorPool::Stats executor_pool_stats() const;
 
   /// Loads a dataset (paper's four-step load) and returns its id.
@@ -180,7 +168,8 @@ class Repository {
   /// many threads at once: each call plans and executes with stack-local
   /// state while holding the catalog's shared lock.  Throws on failure
   /// (StatusError carries the typed code; see common/status.hpp).
-  /// `costs` are the per-chunk compute charges for the simulated backend.
+  /// `costs` are the per-chunk compute charges kAuto's cost model weighs
+  /// candidate plans with.
   QueryResult submit(const Query& query, const ComputeCosts& costs = {},
                      const ExecOptions& exec_options = {});
 
@@ -258,8 +247,7 @@ class Repository {
   /// reduced) selection, metrics + trace spans included; failures become
   /// StatusError{kPlanRejected}.
   PlannedQuery plan_prepared(const Prepared& prepared, QuerySelection&& selection) const;
-  /// Executes a planned query on a pool lease (the simulator on
-  /// kSimulated).  `marginal` non-null (and active) merges served
+  /// Executes a planned query on a pool lease.  `marginal` non-null (and active) merges served
   /// partials into the delivery, publishes the executed chunks' partials
   /// on success, and fills the marginal_hits/marginal_misses attribution.
   QueryResult execute_planned_locked(const Query& query, const Prepared& prepared,
@@ -279,10 +267,10 @@ class Repository {
 
   RepositoryConfig config_;
   std::unique_ptr<ChunkStore> store_;
-  /// Decorates store_ when chunk_cache_bytes_per_node > 0 (threads).
+  /// Decorates store_ when chunk_cache_bytes_per_node > 0.
   std::unique_ptr<CachingChunkStore> cache_;
-  /// Cross-query aggregate reuse when marginal_cache_bytes > 0
-  /// (threads backend with payloads; see docs/caching.md).
+  /// Cross-query aggregate reuse when marginal_cache_bytes > 0 (see
+  /// docs/caching.md).
   std::unique_ptr<MarginalCache> marginal_cache_;
   /// Outermost store decorator when the marginal cache is on: bumps
   /// data versions on put/erase so out-of-band writes invalidate.
@@ -293,8 +281,8 @@ class Repository {
   mutable FairSharedMutex catalog_mutex_;
   std::map<std::uint32_t, Dataset> datasets_;
   std::uint32_t next_dataset_id_ = 0;
-  /// Warm thread executors shared by all submits (thread backend only;
-  /// built empty with the repository, never replaced).
+  /// Warm thread executors shared by all submits (built empty with the
+  /// repository, never replaced).
   std::unique_ptr<ThreadExecutorPool> executor_pool_;
 };
 

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "sim/cluster.hpp"
+
 namespace adr {
 namespace {
 
@@ -36,6 +38,17 @@ struct NodePhase {
 };
 
 }  // namespace
+
+MachineParams machine_params(const sim::ClusterConfig& machine) {
+  MachineParams m;
+  m.disk_seek_s = sim::to_seconds(machine.disk.seek);
+  m.disk_bw_bytes_per_s = machine.disk.bandwidth_bytes_per_sec;
+  m.net_latency_s = sim::to_seconds(machine.link.latency);
+  m.net_bw_bytes_per_s = machine.link.bandwidth_bytes_per_sec;
+  m.comm_cpu_bytes_per_s = machine.link.cpu_overhead_bytes_per_sec;
+  m.disks_per_node = machine.disks_per_node;
+  return m;
+}
 
 CostEstimate estimate_cost(const QueryPlan& plan, const PlannerInput& in,
                            const ComputeCosts& costs, const MachineParams& machine) {

@@ -14,6 +14,10 @@
 
 #include "core/planner/plan.hpp"
 
+namespace adr::sim {
+struct ClusterConfig;
+}  // namespace adr::sim
+
 namespace adr {
 
 /// Per-chunk computation costs in seconds (the paper's Table 1 reports
@@ -36,6 +40,9 @@ struct MachineParams {
   double comm_cpu_bytes_per_s = 0.0;
   int disks_per_node = 1;
 };
+
+/// The cost model's view of a simulated machine.
+MachineParams machine_params(const sim::ClusterConfig& machine);
 
 struct CostEstimate {
   double total_s = 0.0;

@@ -164,12 +164,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   request.order = config.tiling;
   request.seed = config.seed;
   request.costs = app.costs;
-  request.machine.disk_seek_s = sim::to_seconds(machine.disk.seek);
-  request.machine.disk_bw_bytes_per_s = machine.disk.bandwidth_bytes_per_sec;
-  request.machine.net_latency_s = sim::to_seconds(machine.link.latency);
-  request.machine.net_bw_bytes_per_s = machine.link.bandwidth_bytes_per_sec;
-  request.machine.comm_cpu_bytes_per_s = machine.link.cpu_overhead_bytes_per_sec;
-  request.machine.disks_per_node = machine.disks_per_node;
+  request.machine = machine_params(machine);
   PlannedQuery planned = plan_query(request);
 
   ExperimentResult result;
@@ -208,7 +203,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   exec_options.pipeline_tiles = config.pipeline_tiles;
   exec_options.record_trace = config.record_trace;
   result.stats = execute_query(executor, planned, input, output, /*op=*/nullptr,
-                               app.costs, machine.disks_per_node, exec_options);
+                               app.costs, exec_options);
   return result;
 }
 

@@ -57,7 +57,7 @@ bool AdrClient::connected() const {
   return conn_.connected();
 }
 
-WireResult AdrClient::submit(const Query& query, const ExecOptions& options) {
+WireResult AdrClient::submit(const Query& query, const Qos& qos) {
   std::lock_guard lock(io_mutex_);
   const int max_attempts = std::max(1, policy_.max_attempts);
   WireResult last;
@@ -66,7 +66,7 @@ WireResult AdrClient::submit(const Query& query, const ExecOptions& options) {
     // milliseconds, which shrink across retries.
     std::vector<std::byte> reply;
     const FrameConnection::Outcome outcome =
-        conn_.exchange(encode_query(query, options), reply);
+        conn_.exchange(encode_query(query, qos), reply);
     const bool sent = outcome != FrameConnection::Outcome::kConnectFailed;
     if (outcome == FrameConnection::Outcome::kOk) {
       last = decode_result(reply);
@@ -89,8 +89,7 @@ WireResult AdrClient::submit(const Query& query, const ExecOptions& options) {
     // Deadline cap: a retry that cannot start (let alone finish) before
     // the query's Qos deadline would only burn a server slot to learn
     // kDeadlineExceeded — stop here and return the last real failure.
-    if (options.qos.has_deadline() &&
-        std::chrono::steady_clock::now() + delay >= options.qos.deadline) {
+    if (qos.has_deadline() && std::chrono::steady_clock::now() + delay >= qos.deadline) {
       ADR_DEBUG("client: deadline reached, not retrying ("
                 << last.status.to_string() << ")");
       break;
@@ -125,7 +124,7 @@ WireStatsReply AdrClient::stats(bool include_trace, bool include_history,
     // A server at its connection cap answers every new connection with a
     // busy result frame and closes — surface the typed status (and its
     // retry-after hint) instead of a "not a stats reply" decode error.
-    const WireResult result = decode_result(payload);
+    const WireResult result = decode_result_head(payload);
     conn_.close();
     std::string msg = result.status.message.empty() ? std::string(kServerBusyError)
                                                     : result.status.message;

@@ -76,19 +76,19 @@ class AdrClient {
   AdrClient(const AdrClient&) = delete;
   AdrClient& operator=(const AdrClient&) = delete;
 
-  /// Sends the query with its execution options (options.qos carries the
-  /// deadline, priority and drop-on-expiry) and waits for the result,
+  /// Sends the query with its Qos (deadline, priority and drop-on-expiry)
+  /// and waits for the result,
   /// under the retry policy.  A server-side failure comes back with its
   /// typed code and message.  A saturated server answers kBusy
   /// (server_busy()) and closes the connection; the next submit
   /// reconnects.  Busy refusals, connect failures and (for idempotent
   /// policies) transport losses are retried with backoff, but no retry
-  /// starts that could not finish before options.qos's deadline.  When
+  /// starts that could not finish before the Qos deadline.  When
   /// the budget runs out the result carries the last failure — a
   /// transport failure is kUnavailable ("connect failed before send" or
   /// "connection lost before result") — and result.attempts counts the
   /// attempts made.  Throws WireError only for a malformed reply.
-  WireResult submit(const Query& query, const ExecOptions& options = {});
+  WireResult submit(const Query& query, const Qos& qos = {});
 
   /// Asks the live server for its observability snapshot:
   /// metrics_json is the obs registry rendered as JSON; trace_json is

@@ -298,10 +298,11 @@ std::vector<std::byte> AdrRouter::route(const std::vector<std::byte>& frame,
     if (outcome == FrameConnection::Outcome::kOk) {
       note_result(*target, true);
       // Inspect the typed status for failover-able failures; the frame
-      // itself is returned verbatim on success.
+      // itself is returned verbatim on success, so only its head is
+      // decoded (the output chunks are never copied).
       WireResult decoded;
       try {
-        decoded = decode_result(reply);
+        decoded = decode_result_head(reply);
       } catch (const std::exception&) {
         return reply;  // undecodable: pass through, client will complain
       }

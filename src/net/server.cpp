@@ -154,10 +154,10 @@ void AdrServer::on_frame(FrameLoop::Slot slot, std::vector<std::byte> payload) {
   }
   WireResult result;
   try {
-    // The exec options decoded from the frame travel with the query
-    // through the scheduler to execution.
+    // The Qos decoded from the frame travels with the query through the
+    // scheduler to execution.
     const WireQuery wq = decode_query_frame(payload);
-    const Qos& qos = wq.options.qos;
+    const Qos& qos = wq.qos;
     // Deadline-aware admission: a drop-on-expiry query whose deadline
     // already passed gets the typed refusal immediately — queueing it
     // only to shed it later wastes a scheduler slot.  The connection
@@ -172,7 +172,7 @@ void AdrServer::on_frame(FrameLoop::Slot slot, std::vector<std::byte> payload) {
     }
     // The connection id is the scheduler's FIFO lane.
     const std::uint64_t ticket =
-        scheduler_.try_enqueue(wq.query, costs_, slot.conn, wq.options);
+        scheduler_.try_enqueue(wq.query, costs_, slot.conn, ExecOptions{.qos = qos});
     if (ticket != 0) {
       // finish_ticket() runs on this thread, so the route is in place
       // even for a query that completes at once.

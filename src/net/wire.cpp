@@ -13,12 +13,7 @@ constexpr std::uint8_t kResultTag = 0x52;       // 'R'
 constexpr std::uint8_t kStatsRequestTag = 0x53; // 'S'
 constexpr std::uint8_t kStatsReplyTag = 0x54;   // 'T'
 // The one protocol version encoded and decoded (see wire.hpp).
-constexpr std::uint8_t kVersion = 7;
-
-// Exec-option flag bits (query frames).
-constexpr std::uint8_t kOptInitFromOutput = 1u << 0;
-constexpr std::uint8_t kOptPipelineTiles = 1u << 1;
-constexpr std::uint8_t kOptRecordTrace = 1u << 2;
+constexpr std::uint8_t kVersion = 8;
 
 // Qos flag bits (query frames).
 constexpr std::uint8_t kQosHasDeadline = 1u << 0;
@@ -151,7 +146,7 @@ Rect Reader::rect() {
   return Rect(lo, hi);
 }
 
-std::vector<std::byte> encode_query(const Query& query, const ExecOptions& options) {
+std::vector<std::byte> encode_query(const Query& query, const Qos& qos) {
   Writer w;
   w.u8(kQueryTag);
   w.u8(kVersion);
@@ -166,28 +161,19 @@ std::vector<std::byte> encode_query(const Query& query, const ExecOptions& optio
   w.u8(static_cast<std::uint8_t>(query.tiling_order));
   w.u8(static_cast<std::uint8_t>(query.delivery));
   w.u64(query.seed);
-  // The exec options travel with the query (output_sink is a local
-  // callback and cannot cross the wire; write_output follows from
-  // query.delivery on the serving side).
-  std::uint8_t flags = 0;
-  if (options.init_from_output) flags |= kOptInitFromOutput;
-  if (options.pipeline_tiles) flags |= kOptPipelineTiles;
-  if (options.record_trace) flags |= kOptRecordTrace;
-  w.u8(flags);
-  w.f64(options.comm_cpu_bytes_per_sec);
   // The Qos contract.  Deadlines are steady-clock points local to
   // each host, so the wire carries *remaining* milliseconds — client
   // and server clocks never need to agree.  remaining() clamps to 0:
   // an already-expired deadline arrives as "0 ms left", which the
   // server's admission check refuses immediately.
   std::uint8_t qos_flags = 0;
-  if (options.qos.has_deadline()) qos_flags |= kQosHasDeadline;
-  if (options.qos.drop_on_expiry) qos_flags |= kQosDropOnExpiry;
+  if (qos.has_deadline()) qos_flags |= kQosHasDeadline;
+  if (qos.drop_on_expiry) qos_flags |= kQosDropOnExpiry;
   w.u8(qos_flags);
-  w.u8(static_cast<std::uint8_t>(options.qos.priority));
+  w.u8(static_cast<std::uint8_t>(qos.priority));
   std::uint32_t remaining_ms = 0;
-  if (options.qos.has_deadline()) {
-    const auto rem = options.qos.remaining();
+  if (qos.has_deadline()) {
+    const auto rem = qos.remaining();
     remaining_ms = static_cast<std::uint32_t>(std::min<std::chrono::milliseconds::rep>(
         rem.count(), std::numeric_limits<std::uint32_t>::max()));
   }
@@ -213,23 +199,18 @@ WireQuery decode_query_frame(std::span<const std::byte> payload) {
   q.tiling_order = checked_enum(r.u8(), TilingOrder::kRandom, "tiling order");
   q.delivery = checked_enum(r.u8(), OutputDelivery::kDiscard, "delivery");
   q.seed = r.u64();
-  const std::uint8_t flags = r.u8();
-  wq.options.init_from_output = (flags & kOptInitFromOutput) != 0;
-  wq.options.pipeline_tiles = (flags & kOptPipelineTiles) != 0;
-  wq.options.record_trace = (flags & kOptRecordTrace) != 0;
-  wq.options.comm_cpu_bytes_per_sec = r.f64();
   const std::uint8_t qos_flags = r.u8();
   const std::uint8_t priority = r.u8();
   const std::uint32_t remaining_ms = r.u32();
-  wq.options.qos.drop_on_expiry = (qos_flags & kQosDropOnExpiry) != 0;
-  wq.options.qos.priority =
+  wq.qos.drop_on_expiry = (qos_flags & kQosDropOnExpiry) != 0;
+  wq.qos.priority =
       priority <= static_cast<std::uint8_t>(QosPriority::kInteractive)
           ? static_cast<QosPriority>(priority)
           : QosPriority::kNormal;
   if ((qos_flags & kQosHasDeadline) != 0) {
     // Rebuild an absolute deadline on the receiver's steady clock.
-    wq.options.qos.deadline = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(remaining_ms);
+    wq.qos.deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(remaining_ms);
   }
   if (!r.done()) throw WireError("wire: trailing bytes after query");
   return wq;
@@ -243,8 +224,8 @@ WireResult to_wire_result(const QueryResult& result) {
   w.chunk_reads = result.chunk_reads;
   w.total_s = result.stats.total_s;
   w.bytes_communicated = result.stats.total_bytes_sent();
-  w.cache_hits = result.cache_hits;
-  w.cache_misses = result.cache_misses;
+  w.cache_hits = result.stats.cache_hits;
+  w.cache_misses = result.stats.cache_misses;
   w.outputs = result.outputs;
   return w;
 }
@@ -276,8 +257,10 @@ std::vector<std::byte> encode_result(const WireResult& result) {
   return w.take();
 }
 
-WireResult decode_result(std::span<const std::byte> payload) {
-  Reader r(payload);
+namespace {
+
+/// Reads a result frame up to and including its status code.
+WireResult read_result_head(Reader& r) {
   if (r.u8() != kResultTag) throw WireError("wire: not a result frame");
   check_version(r);
   WireResult out;
@@ -299,6 +282,19 @@ WireResult decode_result(std::span<const std::byte> payload) {
   out.status = ok ? Status::make_ok()
                   : Status::make(code == StatusCode::kOk ? StatusCode::kInternal : code,
                                  std::move(error));
+  return out;
+}
+
+}  // namespace
+
+WireResult decode_result_head(std::span<const std::byte> payload) {
+  Reader r(payload);
+  return read_result_head(r);
+}
+
+WireResult decode_result(std::span<const std::byte> payload) {
+  Reader r(payload);
+  WireResult out = read_result_head(r);
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     ChunkMeta meta;

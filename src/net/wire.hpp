@@ -10,8 +10,10 @@
 // where payload is an encode_query(), encode_result(),
 // encode_stats_request() or encode_stats_reply() body.
 //
-// Protocol version: v7 is the only one encoded or decoded; a frame of
-// any other version is a WireError (v1-v6 differ field by field).
+// Protocol version: v8 is the only one encoded or decoded; a frame of
+// any other version is a WireError (v1-v7 differ field by field).  A v8
+// query frame carries the Query and its Qos, nothing else: execution
+// options beyond the Qos are for in-process callers only.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "core/frontend.hpp"
+#include "core/qos.hpp"
 #include "core/query.hpp"
 
 namespace adr::net {
@@ -75,19 +78,22 @@ struct WireResult {
 /// Builds the client view from a repository result.
 WireResult to_wire_result(const QueryResult& result);
 
-/// A decoded query frame: the query plus the execution options it asked
-/// for.
+/// A decoded query frame: the query plus its quality-of-service contract.
 struct WireQuery {
   Query query;
-  ExecOptions options;
+  Qos qos;
 };
 
-std::vector<std::byte> encode_query(const Query& query,
-                                    const ExecOptions& options = {});
+std::vector<std::byte> encode_query(const Query& query, const Qos& qos = {});
 WireQuery decode_query_frame(std::span<const std::byte> payload);
 
 std::vector<std::byte> encode_result(const WireResult& result);
 WireResult decode_result(std::span<const std::byte> payload);
+/// Decodes a result frame's head only: every field up to and including
+/// the status code (status, counters, retry_after_ms).  The output chunks
+/// that follow are neither read nor copied, so `outputs` stays empty —
+/// for relays and clients that need only the outcome.
+WireResult decode_result_head(std::span<const std::byte> payload);
 
 /// Stats endpoint: a client asks the live server for its metrics
 /// snapshot; the reply carries the obs registry rendered as JSON and,

@@ -3,10 +3,11 @@
 // The cumulative metrics answer "how much work has the process done";
 // the ledger answers "what did *this* query spend" — the attribution the
 // marginal cache, the router, and the self-tuning scheduler need.  The
-// repository fills one ledger per QueryResult from the deltas it already
-// computes (chunk-cache hit/miss, marginal consults) plus the executor's
-// wall and thread-CPU clocks, and emits the totals as the `query.cost.*`
-// metric family on submit success.
+// repository, which runs every query on the thread executor, fills one
+// ledger per QueryResult from the deltas it already computes (chunk-cache
+// hit/miss, marginal consults) plus the executor's wall and thread-CPU
+// clocks, and emits the totals as the `query.cost.*` metric family on
+// submit success.  The simulator (emu::run_scenario) keeps no ledger.
 //
 // Queue wait crosses from the scheduler into Repository::submit through
 // a thread-local context, exactly like obs::set_trace_query: the worker
@@ -40,7 +41,7 @@ struct QueryCostLedger {
   /// Scheduler queue wait (0 for direct Repository::submit calls).
   double queue_wait_s = 0.0;
   /// Executor wall time (== stats.total_s) and the node threads' summed
-  /// CPU time for the run (thread backend; 0 on the simulator).
+  /// CPU time for the run (0 where per-thread CPU clocks are unreadable).
   double exec_wall_s = 0.0;
   double thread_cpu_s = 0.0;
   /// Submit attempts that produced this result.  Server-side execution

@@ -71,15 +71,13 @@ class Executor {
   /// behind `node`'s pending tasks, like post().
   virtual void compute(int node, double cost_seconds, Task done) = 0;
 
-  /// Global barrier: `done` fires in `node`'s context once every node has
-  /// entered the barrier.  Nodes must all use barriers in the same order.
-  virtual void barrier(int node, Task done) = 0;
-
-  /// Sliding-window synchronization for tile-pipelined execution: the
-  /// caller reports completion of `epoch` (tiles are epochs 0,1,...);
-  /// `done` fires once every node has completed epoch `epoch - lag` (so
-  /// with lag 1, a node may run one tile ahead of the slowest node).
-  /// Epochs must be reported in increasing order per node.
+  /// Sliding-window synchronization, the one sync primitive: the caller
+  /// reports completion of `epoch` (epochs 0,1,...); `done` fires in
+  /// `node`'s context once every node has completed epoch `epoch - lag`.
+  /// With lag 1 a node may run one tile ahead of the slowest node (tile
+  /// pipelining); lag 0 is a global barrier, whose waiters all release
+  /// together, in arrival order, when the last node arrives.  Epochs
+  /// must be reported in increasing order per node.
   virtual void window_sync(int node, int epoch, int lag, Task done) = 0;
 
   /// Marks `node` as finished; run() returns after every node finishes.

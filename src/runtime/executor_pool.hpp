@@ -15,7 +15,7 @@
 //     concurrent queries and stays there — no cap to tune.
 //
 // A lease is exclusive: two queries never interleave one executor's
-// barriers or sliding-window epochs.  Thread safety: acquire/release/
+// sliding-window epochs.  Thread safety: acquire/release/
 // stats are internally locked; the leased executor itself is used by one
 // query at a time.
 #pragma once

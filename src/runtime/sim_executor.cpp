@@ -117,16 +117,6 @@ void SimExecutor::compute(int node, double cost_seconds, Task done) {
   cluster_->node(node).cpu().acquire(d, std::move(done));
 }
 
-void SimExecutor::barrier(int node, Task done) {
-  (void)node;
-  barrier_waiters_.push_back(std::move(done));
-  if (static_cast<int>(barrier_waiters_.size()) == num_nodes()) {
-    std::vector<Task> ready = std::move(barrier_waiters_);
-    barrier_waiters_.clear();
-    for (Task& t : ready) cluster_->sim().schedule(0, std::move(t));
-  }
-}
-
 void SimExecutor::window_sync(int node, int epoch, int lag, Task done) {
   if (epoch_completed_.empty()) epoch_completed_.assign(static_cast<size_t>(num_nodes()), -1);
   epoch_completed_[static_cast<size_t>(node)] =

@@ -31,7 +31,6 @@ class SimExecutor : public Executor {
   void send(Message msg) override;
   void set_message_handler(MessageHandler handler) override;
   void compute(int node, double cost_seconds, Task done) override;
-  void barrier(int node, Task done) override;
   void window_sync(int node, int epoch, int lag, Task done) override;
   void finish(int node) override;
   double run(std::function<void(int)> entry) override;
@@ -63,8 +62,6 @@ class SimExecutor : public Executor {
   sim::SimCluster* cluster_;
   ChunkStore* store_;
   MessageHandler handler_;
-  // Barrier state: callbacks parked until all nodes arrive.
-  std::vector<Task> barrier_waiters_;
   // Sliding-window state: highest epoch completed per node, plus parked
   // callbacks waiting for the window to advance.
   struct WindowWaiter {

@@ -182,19 +182,6 @@ void ThreadExecutor::compute(int node, double cost_seconds, Task done) {
   }
 }
 
-void ThreadExecutor::barrier(int node, Task done) {
-  std::vector<std::pair<int, Task>> release;
-  {
-    std::lock_guard<std::mutex> lock(barrier_mutex_);
-    barrier_waiters_.emplace_back(node, std::move(done));
-    if (static_cast<int>(barrier_waiters_.size()) == num_nodes()) {
-      release = std::move(barrier_waiters_);
-      barrier_waiters_.clear();
-    }
-  }
-  for (auto& [n, task] : release) post(n, std::move(task));
-}
-
 void ThreadExecutor::window_sync(int node, int epoch, int lag, Task done) {
   std::vector<WindowWaiter> ready;
   {
@@ -229,10 +216,9 @@ void ThreadExecutor::finish(int node) {
 
 double ThreadExecutor::run(std::function<void(int)> entry) {
   // Reset per-run state so one pool of node threads serves many runs.
-  // A correctly finished run leaves the waiter lists empty (every
-  // barrier releases, every window waiter fires before finish); the
-  // clears keep a stale entry from a buggy engine from leaking into the
-  // next query.
+  // A correctly finished run leaves the waiter list empty (every window
+  // waiter fires before finish); the clear keeps a stale entry from a
+  // buggy engine from leaking into the next query.
   {
     std::lock_guard<std::mutex> lock(done_mutex_);
     finished_ = 0;
@@ -240,11 +226,6 @@ double ThreadExecutor::run(std::function<void(int)> entry) {
   {
     std::lock_guard<std::mutex> lock(error_mutex_);
     run_error_ = Status::make_ok();
-  }
-  {
-    std::lock_guard<std::mutex> lock(barrier_mutex_);
-    assert(barrier_waiters_.empty());
-    barrier_waiters_.clear();
   }
   {
     std::lock_guard<std::mutex> lock(window_mutex_);

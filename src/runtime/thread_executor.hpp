@@ -1,26 +1,26 @@
 // Thread-backed executor.
 //
-// One real thread per simulated back-end node.  Each node drains two FIFO
-// queues: a locked task queue that post(), read(), write(), send() and
-// the synchronisation releases feed from any thread, and an unlocked
-// continuation queue that only compute() calls made on the node's own
-// thread feed.  After every task the node runs its pending continuations
+// One real thread per back-end node: the substrate every Repository query
+// runs on (the simulator serves only the emulator's figures).  Each node
+// drains two FIFO queues: a locked task queue that post(), read(),
+// write(), send() and the sliding-window releases feed from any thread,
+// and an unlocked continuation queue that only compute() calls made on
+// the node's own thread feed.  After every task the node runs its pending continuations
 // before it takes the next task, so a chunk is reduced right after its
 // read completes, while the payload is in cache — the order the
 // simulator models (paper section 2.4).  send() enqueues delivery on the
 // destination node's task queue, so the distributed-memory discipline
 // (no shared state, message passing only) is preserved even though
-// everything lives in one process.  Used to validate the engine and
-// strategies with real payloads and real aggregation arithmetic.
+// everything lives in one process.
 //
 // Lifecycle: the node threads are spawned once in the constructor and
 // live until destruction.  run() may be called repeatedly on the same
-// pool — per-run state (finish count, barrier waiters, sliding-window
-// epochs, message handler) is reset at the start of each run, so a warm
+// pool — per-run state (finish count, sliding-window epochs and waiters,
+// message handler) is reset at the start of each run, so a warm
 // executor serves query after query without respawning threads (see
 // runtime/executor_pool.hpp for the cross-submit pool).  Runs must not
 // overlap: one run() at a time per executor — two queries interleaving
-// one pool's barriers would deadlock.  Calls to set_message_handler()
+// one pool's sliding windows would deadlock.  Calls to set_message_handler()
 // and run() are sequenced on the leasing thread; the completed-run
 // handshake (done_mutex_) orders them against the previous run's node
 // tasks.
@@ -59,7 +59,6 @@ class ThreadExecutor : public Executor {
   void send(Message msg) override;
   void set_message_handler(MessageHandler handler) override;
   void compute(int node, double cost_seconds, Task done) override;
-  void barrier(int node, Task done) override;
   void window_sync(int node, int epoch, int lag, Task done) override;
   void finish(int node) override;
   double run(std::function<void(int)> entry) override;
@@ -77,8 +76,8 @@ class ThreadExecutor : public Executor {
   /// Records a failure observed by a node task this run (storage fetch
   /// fault, injected reduction error).  First error wins; the engine
   /// keeps running to completion on degraded inputs (a faulted read
-  /// delivers nullopt, exactly like a missing chunk) so barriers and
-  /// sliding windows never wedge, and run() rethrows the recorded error
+  /// delivers nullopt, exactly like a missing chunk) so sliding windows
+  /// never wedge, and run() rethrows the recorded error
   /// once every node has finished — the query fails cleanly instead of
   /// returning silently partial results.  Thread-safe (node threads).
   void record_run_error(Status status);
@@ -103,9 +102,6 @@ class ThreadExecutor : public Executor {
   ChunkStore* const store_;
   MessageHandler handler_;
   std::vector<std::unique_ptr<Worker>> workers_;
-
-  std::mutex barrier_mutex_;
-  std::vector<std::pair<int, Task>> barrier_waiters_;
 
   struct WindowWaiter {
     int node;

@@ -28,7 +28,6 @@ namespace {
 
 RepositoryConfig thread_config(int nodes) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = nodes;
   cfg.memory_per_node = 1 << 20;
   return cfg;

@@ -165,21 +165,37 @@ TEST_P(ExecutorContractTest, MessagePayloadShared) {
   EXPECT_TRUE(ok.load());
 }
 
+// A lag-0 window is the engine's per-phase barrier (pipeline_tiles off).
 TEST_P(ExecutorContractTest, BarrierReleasesAllTogether) {
   auto h = make_harness(GetParam(), 4);
   std::atomic<int> before{0}, after{0};
   std::atomic<bool> violated{false};
+  std::mutex order_mutex;
+  std::vector<int> arrived, released;
   h.executor->run([&](int node) {
     ++before;
-    h.executor->barrier(node, [&, node]() {
+    {
+      std::lock_guard<std::mutex> lock(order_mutex);
+      arrived.push_back(node);
+    }
+    h.executor->window_sync(node, 0, /*lag=*/0, [&, node]() {
       // Every node must have entered before anyone is released.
       if (before.load() != 4) violated = true;
+      {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        released.push_back(node);
+      }
       ++after;
       h.executor->finish(node);
     });
   });
   EXPECT_FALSE(violated.load());
   EXPECT_EQ(after.load(), 4);
+  // The simulator runs the released waiters at +0 in arrival order (the
+  // thread executor posts them in that order, to different nodes).
+  if (GetParam()) {
+    EXPECT_EQ(released, arrived);
+  }
 }
 
 TEST_P(ExecutorContractTest, SequentialBarriers) {
@@ -187,9 +203,9 @@ TEST_P(ExecutorContractTest, SequentialBarriers) {
   std::atomic<int> round{0};
   std::atomic<bool> ok{true};
   h.executor->run([&](int node) {
-    h.executor->barrier(node, [&, node]() {
+    h.executor->window_sync(node, 0, /*lag=*/0, [&, node]() {
       if (node == 0) round = 1;
-      h.executor->barrier(node, [&, node]() {
+      h.executor->window_sync(node, 1, /*lag=*/0, [&, node]() {
         if (round.load() != 1) ok = false;
         h.executor->finish(node);
       });

@@ -144,7 +144,6 @@ TEST(FairSharedMutex, WriterNotStarvedByLoopingReaders) {
 // (shared catalog lock) nonstop.
 TEST(FairSharedMutex, CreateDatasetCompletesUnderSubmitStorm) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = 2;
   cfg.memory_per_node = 1 << 20;
   Repository repo(cfg);

@@ -208,7 +208,6 @@ TEST(MarginalCache, ConcurrentPublishLookupInvalidateIsSafe) {
 
 RepositoryConfig marginal_config(std::uint64_t marginal_bytes = 32ull << 20) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = 2;
   cfg.memory_per_node = 1 << 20;
   cfg.marginal_cache_bytes = marginal_bytes;

@@ -107,7 +107,8 @@ TEST(Wire, ResultRoundTripWithChunks) {
   std::vector<std::byte> payload(8, std::byte{0x5a});
   result.outputs.emplace_back(meta, payload);
 
-  const WireResult back = decode_result(encode_result(result));
+  const std::vector<std::byte> frame = encode_result(result);
+  const WireResult back = decode_result(frame);
   EXPECT_TRUE(back.ok());
   EXPECT_EQ(back.status.code, StatusCode::kOk);
   EXPECT_EQ(back.strategy, StrategyKind::kDA);
@@ -117,6 +118,14 @@ TEST(Wire, ResultRoundTripWithChunks) {
   ASSERT_EQ(back.outputs.size(), 1u);
   EXPECT_EQ(back.outputs[0].meta().id, (ChunkId{2, 6}));
   EXPECT_EQ(back.outputs[0].payload(), payload);
+
+  // The head decoder reads the same summary and leaves the outputs.
+  const WireResult head = decode_result_head(frame);
+  EXPECT_TRUE(head.ok());
+  EXPECT_EQ(head.strategy, StrategyKind::kDA);
+  EXPECT_EQ(head.tiles, 5);
+  EXPECT_EQ(head.bytes_communicated, 1ull << 40);
+  EXPECT_TRUE(head.outputs.empty());
 }
 
 TEST(Wire, ErrorResultRoundTrip) {
@@ -151,40 +160,38 @@ TEST(Wire, RetryAfterHintRoundTrips) {
   const WireResult back = decode_result(encode_result(result));
   EXPECT_TRUE(back.server_busy());
   EXPECT_EQ(back.retry_after_ms, 750u);
+  // What the router reads to pick failover and backoff.
+  const WireResult head = decode_result_head(encode_result(result));
+  EXPECT_TRUE(head.server_busy());
+  EXPECT_EQ(head.retry_after_ms, 750u);
 }
 
-TEST(Wire, ExecOptionsTravelWithQueryFrame) {
+TEST(Wire, QueryFrameV8DropsExecOptions) {
   Query q;
   q.input_dataset = 1;
   q.output_dataset = 2;
   q.range = Rect::cube(2, 0.0, 1.0);
-  // Flip every flag away from its default (and set a nonzero comm-CPU
-  // rate) so the round trip can't pass by accident.
-  ExecOptions options;
-  options.init_from_output = false;
-  options.pipeline_tiles = false;
-  options.record_trace = true;
-  options.comm_cpu_bytes_per_sec = 1.5e9;
-  const WireQuery back = decode_query_frame(encode_query(q, options));
-  EXPECT_EQ(back.query.input_dataset, 1u);
-  EXPECT_FALSE(back.options.init_from_output);
-  EXPECT_FALSE(back.options.pipeline_tiles);
-  EXPECT_TRUE(back.options.record_trace);
-  EXPECT_DOUBLE_EQ(back.options.comm_cpu_bytes_per_sec, 1.5e9);
+  const std::vector<std::byte> v8 = encode_query(q);
+  // The v7 encoder wrote this query in 81 bytes: v8 drops the exec-option
+  // flags byte and the comm-CPU f64 that sat between the seed and the
+  // 6-byte Qos tail.
+  EXPECT_EQ(v8.size(), 81u - 9u);
 
-  // Omitted options decode back to the defaults.
-  const ExecOptions defaults;
-  const WireQuery plain = decode_query_frame(encode_query(q));
-  EXPECT_EQ(plain.options.init_from_output, defaults.init_from_output);
-  EXPECT_EQ(plain.options.pipeline_tiles, defaults.pipeline_tiles);
-  EXPECT_EQ(plain.options.record_trace, defaults.record_trace);
-  EXPECT_DOUBLE_EQ(plain.options.comm_cpu_bytes_per_sec,
-                   defaults.comm_cpu_bytes_per_sec);
+  // The same query as a v7 frame: its version byte, default flags
+  // (init_from_output | pipeline_tiles) and a zero comm-CPU rate.
+  std::vector<std::byte> v7 = v8;
+  v7[1] = std::byte{7};
+  std::vector<std::byte> exec_options(9, std::byte{0});
+  exec_options[0] = std::byte{0x03};
+  v7.insert(v7.end() - 6, exec_options.begin(), exec_options.end());
+  ASSERT_EQ(v7.size(), 81u);
+  EXPECT_THROW(decode_query_frame(v7), WireError);
+  EXPECT_NO_THROW(decode_query_frame(v8));
 }
 
 TEST(Wire, V5FrameOfEveryKindRejected) {
-  // Only v6 decodes: a frame of each kind, stamped with the previous
-  // version, is refused by its own decoder rather than half-parsed.
+  // Only v8 decodes: a frame of each kind, stamped with an older version,
+  // is refused by its own decoder rather than half-parsed.
   WireStatsReply reply;
   reply.metrics_json = "{}";
   Query q;
@@ -243,12 +250,12 @@ TEST(Wire, QueryFrameRejectedAsResult) {
 }
 
 TEST(Wire, RejectsOutOfRangeEnums) {
-  // Query frames end strategy, tiling order, delivery, then 23 bytes of
-  // seed, exec options and Qos.
+  // Query frames end strategy, tiling order, delivery, then 14 bytes of
+  // seed and Qos.
   Query q;
   q.range = Rect::cube(2, 0.0, 1.0);
   const std::vector<std::byte> query = encode_query(q);
-  const std::size_t strategy_at = query.size() - 26;
+  const std::size_t strategy_at = query.size() - 17;
   for (std::size_t at : {strategy_at, strategy_at + 1, strategy_at + 2}) {
     std::vector<std::byte> bad = query;
     bad[at] = std::byte{9};
@@ -295,7 +302,7 @@ TEST(Wire, HugeLengthIsWireError) {
   }
 }
 
-// A fixed-seed mutation sweep over the four frame decoders: flipped
+// A fixed-seed mutation sweep over the five frame decoders: flipped
 // bytes, truncations and inflated length fields may only ever surface
 // as WireError, and whatever decodes carries in-range enums.
 TEST(WireFuzz, MutatedFramesThrowOnlyWireError) {
@@ -308,8 +315,7 @@ TEST(WireFuzz, MutatedFramesThrowOnlyWireError) {
   q.aggregation = "sum-count-max";
   q.strategy = StrategyKind::kDA;
   q.delivery = OutputDelivery::kReturnToClient;
-  ExecOptions options;
-  options.qos = Qos::within(std::chrono::seconds(5), QosPriority::kInteractive);
+  const Qos qos = Qos::within(std::chrono::seconds(5), QosPriority::kInteractive);
   WireResult result;
   result.status = Status::make(StatusCode::kBusy, "server busy");
   result.retry_after_ms = 40;
@@ -327,7 +333,7 @@ TEST(WireFuzz, MutatedFramesThrowOnlyWireError) {
   reply.metrics_json = "{\"counters\":{}}";
   reply.history_json = "[]";
   const std::vector<std::vector<std::byte>> seeds = {
-      encode_query(q, options), encode_result(result), encode_stats_request(request),
+      encode_query(q, qos), encode_result(result), encode_stats_request(request),
       encode_stats_reply(reply)};
 
   std::uint64_t rng = 0x5eed;
@@ -376,12 +382,18 @@ TEST(WireFuzz, MutatedFramesThrowOnlyWireError) {
                   static_cast<int>(TilingOrder::kRandom));
         EXPECT_LE(static_cast<int>(wq.query.delivery),
                   static_cast<int>(OutputDelivery::kDiscard));
-        EXPECT_LE(static_cast<int>(wq.options.qos.priority),
+        EXPECT_LE(static_cast<int>(wq.qos.priority),
                   static_cast<int>(QosPriority::kInteractive));
       });
       expect_only_wire_error("decode_result", [&] {
         const WireResult r = decode_result(frame);
         EXPECT_LE(static_cast<int>(r.strategy), static_cast<int>(StrategyKind::kAuto));
+        EXPECT_LE(static_cast<int>(r.status.code),
+                  static_cast<int>(StatusCode::kDeadlineExceeded));
+      });
+      expect_only_wire_error("decode_result_head", [&] {
+        const WireResult r = decode_result_head(frame);
+        EXPECT_TRUE(r.outputs.empty());
         EXPECT_LE(static_cast<int>(r.status.code),
                   static_cast<int>(StatusCode::kDeadlineExceeded));
       });
@@ -410,7 +422,6 @@ struct ServerFixture {
   explicit ServerFixture(std::uint64_t cache_bytes_per_node = 64ull << 20)
       : repo([cache_bytes_per_node] {
           RepositoryConfig cfg;
-          cfg.backend = RepositoryConfig::Backend::kThreads;
           cfg.num_nodes = 2;
           cfg.memory_per_node = 1 << 20;
           cfg.chunk_cache_bytes_per_node = cache_bytes_per_node;

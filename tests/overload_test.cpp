@@ -32,7 +32,6 @@ using Clock = std::chrono::steady_clock;
 
 RepositoryConfig thread_config(int nodes) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = nodes;
   cfg.memory_per_node = 16 << 20;
   // Every query does the same real work: served from the marginal

@@ -202,7 +202,7 @@ TEST_P(EndToEndPropertyTest, StrategiesAgreeWithReference) {
     const PlannedQuery pq = plan_query(req);
 
     ThreadExecutor exec(s.nodes, 1, &store);
-    execute_query(exec, pq, input, output, &op, ComputeCosts{}, 1);
+    execute_query(exec, pq, input, output, &op, ComputeCosts{});
 
     for (std::uint32_t o = 0; o < s.output_mbrs.size(); ++o) {
       const ChunkMeta& meta = output.chunk(o);

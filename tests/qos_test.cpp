@@ -24,7 +24,6 @@ using namespace std::chrono_literals;
 
 RepositoryConfig thread_config(int nodes) {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = nodes;
   cfg.memory_per_node = 1 << 20;
   return cfg;
@@ -103,24 +102,23 @@ TEST(Qos, WireV6RoundTrip) {
   q.output_dataset = 2;
   q.range = Rect::cube(2, 0.0, 1.0);
 
-  ExecOptions options;
-  options.qos = Qos::within(500ms, QosPriority::kBackground, true);
-  const net::WireQuery back = net::decode_query_frame(net::encode_query(q, options));
-  EXPECT_TRUE(back.options.qos.has_deadline());
-  EXPECT_EQ(back.options.qos.priority, QosPriority::kBackground);
-  EXPECT_TRUE(back.options.qos.drop_on_expiry);
+  const Qos qos = Qos::within(500ms, QosPriority::kBackground, true);
+  const net::WireQuery back = net::decode_query_frame(net::encode_query(q, qos));
+  EXPECT_TRUE(back.qos.has_deadline());
+  EXPECT_EQ(back.qos.priority, QosPriority::kBackground);
+  EXPECT_TRUE(back.qos.drop_on_expiry);
   // The wire carries remaining milliseconds; the rebuilt deadline must
   // land within the original budget (clock skew between encode and
   // decode only shrinks it).
-  const auto remaining = back.options.qos.remaining();
+  const auto remaining = back.qos.remaining();
   EXPECT_GT(remaining, 300ms);
   EXPECT_LE(remaining, 500ms);
 
   // No deadline: flag clear, decode keeps "none".
   const net::WireQuery plain = net::decode_query_frame(net::encode_query(q));
-  EXPECT_FALSE(plain.options.qos.has_deadline());
-  EXPECT_EQ(plain.options.qos.priority, QosPriority::kNormal);
-  EXPECT_TRUE(plain.options.qos.drop_on_expiry);
+  EXPECT_FALSE(plain.qos.has_deadline());
+  EXPECT_EQ(plain.qos.priority, QosPriority::kNormal);
+  EXPECT_TRUE(plain.qos.drop_on_expiry);
 }
 
 // ---------------------------------------------------------- scheduler
@@ -227,7 +225,7 @@ TEST(Qos, ClientStopsRetryingAtDeadline) {
   q.aggregation = "sum-count-max";
 
   const auto t0 = std::chrono::steady_clock::now();
-  const net::WireResult r = client.submit(q, {.qos = Qos::within(150ms)});
+  const net::WireResult r = client.submit(q, Qos::within(150ms));
   const auto elapsed = std::chrono::steady_clock::now() - t0;
 
   EXPECT_FALSE(r.ok());
@@ -251,7 +249,7 @@ TEST(Qos, ServerRefusesExpiredDeadlineAtAdmission) {
   // connection usable.
   Qos hopeless;
   hopeless.deadline = std::chrono::steady_clock::now() - 5ms;
-  const net::WireResult refused = client.submit(basic_query(in, out), {.qos = hopeless});
+  const net::WireResult refused = client.submit(basic_query(in, out), hopeless);
   EXPECT_FALSE(refused.ok());
   EXPECT_EQ(refused.status.code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(server.deadline_refusals(), 1u);

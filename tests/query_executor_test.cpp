@@ -118,7 +118,7 @@ std::map<std::uint32_t, Scm> reference_outputs(const Pipeline& p) {
 
 ExecStats run_threads(Pipeline& p, const PlannedQuery& pq, ExecOptions options = {}) {
   ThreadExecutor exec(p.nodes, 1, p.store.get());
-  return execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1, options);
+  return execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, options);
 }
 
 ExecStats run_sim(Pipeline& p, const PlannedQuery& pq, const ComputeCosts& costs,
@@ -127,7 +127,7 @@ ExecStats run_sim(Pipeline& p, const PlannedQuery& pq, const ComputeCosts& costs
   sim::SimCluster cluster(cfg);
   SimExecutor exec(&cluster, with_store ? p.store.get() : nullptr);
   return execute_query(exec, pq, p.input, p.output,
-                       with_store ? &p.op : nullptr, costs, 1, options);
+                       with_store ? &p.op : nullptr, costs, options);
 }
 
 class EngineStrategyTest : public ::testing::TestWithParam<StrategyKind> {};
@@ -158,16 +158,6 @@ TEST_P(EngineStrategyTest, SingleNodeDegenerate) {
   const ExecStats stats = run_threads(p, pq);
   EXPECT_EQ(read_outputs(p), expected);
   EXPECT_EQ(stats.total_bytes_sent(), 0u);
-}
-
-TEST_P(EngineStrategyTest, InitFromOutputOffAlsoCorrect) {
-  Pipeline p = make_pipeline(4, 2, 4);
-  const auto expected = reference_outputs(p);
-  const PlannedQuery pq = p.plan(GetParam(), 8 * 24);
-  ExecOptions options;
-  options.init_from_output = false;
-  run_threads(p, pq, options);
-  EXPECT_EQ(read_outputs(p), expected);
 }
 
 TEST_P(EngineStrategyTest, SimCountsMatchThreadCounts) {
@@ -374,7 +364,7 @@ TEST(Engine, QueryWithNoMatchingInputsCompletes) {
 
   ThreadExecutor exec(p.nodes, 1, p.store.get());
   const ExecStats stats =
-      execute_query(exec, pq, left, p.output, &p.op, ComputeCosts{}, 1);
+      execute_query(exec, pq, left, p.output, &p.op, ComputeCosts{});
   EXPECT_EQ(stats.total_lr_pairs(), 0u);
   std::uint64_t outputs_written = 0;
   for (const auto& n : stats.nodes) outputs_written += n.outputs;
@@ -385,7 +375,7 @@ TEST(Engine, MismatchedNodeCountRejected) {
   Pipeline p = make_pipeline(3, 2, 3);
   const PlannedQuery pq = p.plan(StrategyKind::kFRA, 16 * 24);
   ThreadExecutor wrong(2, 1, nullptr);
-  EXPECT_THROW(execute_query(wrong, pq, p.input, p.output, nullptr, ComputeCosts{}, 1),
+  EXPECT_THROW(execute_query(wrong, pq, p.input, p.output, nullptr, ComputeCosts{}),
                std::invalid_argument);
 }
 

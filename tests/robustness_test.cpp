@@ -97,7 +97,7 @@ TEST(FailureInjection, MissingInputChunkDegradesGracefully) {
 
     ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
     const ExecStats stats =
-        execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
+        execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{});
 
     // Full total would be sum(1..36) = 666 with count 36.
     std::uint64_t sum = 0, count = 0;
@@ -120,7 +120,7 @@ TEST(FailureInjection, MissingOutputChunkStillInitializes) {
   // Initialize() runs without the existing contents.
   p.store.erase(p.output.chunk(3).disk, p.output.chunk(3).id);
   ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
-  execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
+  execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{});
   auto chunk = p.store.get(p.output.chunk(3).disk, p.output.chunk(3).id);
   ASSERT_TRUE(chunk.has_value());  // rewritten by output handling
   EXPECT_EQ(chunk->as<std::uint64_t>()[1], 4u);  // its 4 nested inputs
@@ -143,7 +143,7 @@ TEST(FailureInjection, InjectedFetchErrorFailsQueryWithTypedStatus) {
   plan.arm("storage.fetch", spec);
 
   try {
-    execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
+    execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{});
     FAIL() << "execute_query should have surfaced the injected fault";
   } catch (const StatusError& e) {
     EXPECT_EQ(e.code(), StatusCode::kIoError);
@@ -154,7 +154,7 @@ TEST(FailureInjection, InjectedFetchErrorFailsQueryWithTypedStatus) {
   // One-shot budget spent: the same executor re-runs the same plan
   // clean, and the re-initialized accumulators erase every trace of the
   // failed attempt.
-  execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
+  execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{});
   std::uint64_t sum = 0, count = 0;
   for (const auto& payload : p.output_bytes()) {
     ASSERT_GE(payload.size(), 16u);
@@ -178,11 +178,11 @@ TEST(FailureInjection, InjectedComputeErrorSurfacesAfterRunCompletes) {
   spec.code = StatusCode::kExecFailed;
   plan.arm("runtime.compute", spec);
   EXPECT_THROW(
-      execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1),
+      execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}),
       StatusError);
   // The failed run left the executor quiescent: it serves the next run.
   fault::faults().reset();
-  execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
+  execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{});
   EXPECT_EQ(exec.completed_runs(), 2u);
 }
 
@@ -208,7 +208,7 @@ TEST_P(FaultProperty, RetriedQueryMatchesFaultFreeRunByteForByte) {
     FaultPipeline p;
     const PlannedQuery pq = p.plan(c.strategy);
     ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
-    execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
+    execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{});
     golden = p.output_bytes();
   }
 
@@ -235,7 +235,7 @@ TEST_P(FaultProperty, RetriedQueryMatchesFaultFreeRunByteForByte) {
   while (!ok && attempts < 20) {
     ++attempts;
     try {
-      execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
+      execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{});
       ok = true;
     } catch (const StatusError& e) {
       EXPECT_EQ(e.code(), StatusCode::kIoError) << e.what();
@@ -378,12 +378,12 @@ TEST_P(CrossExecutorTest, SimAndThreadsAgreeOnWorkCounts) {
   const PlannedQuery pq_b = plan_for(in_b, out_b);
 
   ThreadExecutor texec(nodes, 1, &store_a);
-  const ExecStats t = execute_query(texec, pq_a, in_a, out_a, &op, ComputeCosts{}, 1);
+  const ExecStats t = execute_query(texec, pq_a, in_a, out_a, &op, ComputeCosts{});
 
   sim::SimCluster cluster(sim::ibm_sp_profile(nodes));
   SimExecutor sexec(&cluster, &store_b);
   const ExecStats sm = execute_query(sexec, pq_b, in_b, out_b, &op,
-                                     ComputeCosts{1e-4, 1e-4, 1e-4, 1e-4}, 1);
+                                     ComputeCosts{1e-4, 1e-4, 1e-4, 1e-4});
 
   EXPECT_EQ(t.total_lr_pairs(), sm.total_lr_pairs());
   EXPECT_EQ(t.total_bytes_sent(), sm.total_bytes_sent());
@@ -433,7 +433,7 @@ TEST(EmulatorPayloads, SatScenarioAggregatesIdenticallyAcrossStrategies) {
     req.strategy = kinds[k];
     const PlannedQuery pq = plan_query(req);
     ThreadExecutor exec(nodes, 1, &store);
-    execute_query(exec, pq, input, output, &op, ComputeCosts{}, 1);
+    execute_query(exec, pq, input, output, &op, ComputeCosts{});
     for (std::uint32_t o = 0; o < output.num_chunks(); ++o) {
       auto chunk = store.get(output.chunk(o).disk, output.chunk(o).id);
       ASSERT_TRUE(chunk.has_value());

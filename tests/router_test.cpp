@@ -249,7 +249,6 @@ std::map<std::uint32_t, std::vector<std::byte>> outputs_by_id(
 
 RepositoryConfig small_repo_config() {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = 2;
   cfg.memory_per_node = 1 << 20;
   return cfg;

@@ -305,7 +305,6 @@ TEST(Exposition, OverflowQuantileFlagged) {
 
 RepositoryConfig cost_config() {
   RepositoryConfig cfg;
-  cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = 2;
   cfg.memory_per_node = 1 << 20;
   return cfg;
@@ -364,8 +363,8 @@ TEST(QueryCost, LedgerReconcilesWithCacheCounters) {
 
   // Cold start: every chunk this query read missed the cache, and the
   // ledger's byte split matches the cache's own accounting exactly.
-  EXPECT_EQ(first.cost.cold_chunks, first.cache_misses);
-  EXPECT_EQ(first.cost.cached_chunks, first.cache_hits);
+  EXPECT_EQ(first.cost.cold_chunks, first.stats.cache_misses);
+  EXPECT_EQ(first.cost.cached_chunks, first.stats.cache_hits);
   EXPECT_EQ(first.cost.cold_bytes, after_first.miss_bytes - cache_before.miss_bytes);
   EXPECT_EQ(first.cost.cached_bytes, after_first.hit_bytes - cache_before.hit_bytes);
   EXPECT_GT(first.cost.cold_chunks, 0u);

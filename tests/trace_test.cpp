@@ -56,7 +56,7 @@ struct TraceFixture {
     ExecOptions options;
     options.record_trace = record;
     return execute_query(exec, pq, input, output, nullptr,
-                         ComputeCosts{0.001, 0.002, 0.001, 0.001}, 1, options);
+                         ComputeCosts{0.001, 0.002, 0.001, 0.001}, options);
   }
 };
 

@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
     }
 
     RepositoryConfig config;
-    config.backend = RepositoryConfig::Backend::kThreads;
     config.num_nodes = 2;
     config.memory_per_node = 1u << 20;
     Repository repo(config);

@@ -128,7 +128,6 @@ int main(int argc, char** argv) {
 
   try {
     RepositoryConfig config;
-    config.backend = RepositoryConfig::Backend::kThreads;
     config.num_nodes = 4;
     config.memory_per_node = 4u << 20;
     Repository repo(config);
