@@ -264,30 +264,29 @@ class Engine {
     ns.compute_init_s += costs_.init;
     ns.compute_comm_s += pack;
 
-    auto existing = std::make_shared<std::optional<Chunk>>(std::move(chunk));
-    exec_.compute(node, costs_.init + pack, [this, node, o, msg_bytes, existing]() {
-      NodeStats& ns = nstats(node);
-      std::shared_ptr<const std::vector<std::byte>> payload;
-      if (existing->has_value() && (*existing)->has_payload()) {
-        payload = std::make_shared<const std::vector<std::byte>>((*existing)->payload());
-      }
-      for (int host : plan_.ghost_hosts[o]) {
-        Message msg;
-        msg.src = node;
-        msg.dst = host;
-        msg.tag = MsgTag::kGhostInit;
-        msg.bytes = msg_bytes;
-        msg.chunk = output_meta(o).id;
-        msg.aux = o;
-        msg.tile = static_cast<std::uint32_t>(state(node).tile);
-        msg.payload = payload;
-        ++ns.msgs_sent;
-        ns.bytes_sent += msg.bytes;
-        exec_.send(std::move(msg));
-      }
-      install_accumulator(node, o, existing->has_value() ? &existing->value() : nullptr);
-      op_done(node);
-    });
+    exec_.compute(node, costs_.init + pack,
+                  [this, node, o, msg_bytes, existing = std::move(chunk)]() {
+                    NodeStats& ns = nstats(node);
+                    const Chunk::Payload payload = existing && existing->has_payload()
+                                                       ? existing->shared_payload()
+                                                       : nullptr;
+                    for (int host : plan_.ghost_hosts[o]) {
+                      Message msg;
+                      msg.src = node;
+                      msg.dst = host;
+                      msg.tag = MsgTag::kGhostInit;
+                      msg.bytes = msg_bytes;
+                      msg.chunk = output_meta(o).id;
+                      msg.aux = o;
+                      msg.tile = static_cast<std::uint32_t>(state(node).tile);
+                      msg.payload = payload;
+                      ++ns.msgs_sent;
+                      ns.bytes_sent += msg.bytes;
+                      exec_.send(std::move(msg));
+                    }
+                    install_accumulator(node, o, existing ? &*existing : nullptr);
+                    op_done(node);
+                  });
   }
 
   void install_accumulator(int node, std::uint32_t o, const Chunk* existing) {
@@ -307,19 +306,18 @@ class Engine {
     (void)st;
     const std::uint32_t o = msg.aux;
     // Rebuild the owner's output chunk view for Initialize.
-    std::shared_ptr<Chunk> existing;
-    if (msg.payload != nullptr) {
-      existing = std::make_shared<Chunk>(output_meta(o), *msg.payload);
-    }
+    std::optional<Chunk> existing;
+    if (msg.payload != nullptr) existing.emplace(output_meta(o), msg.payload);
     const double unpack = comm_charge(msg.bytes);
     nstats(node).compute_init_s += costs_.init;
     nstats(node).compute_comm_s += unpack;
-    exec_.compute(node, costs_.init + unpack, [this, node, o, existing]() {
-      install_accumulator(node, o, existing ? existing.get() : nullptr);
-      NodeState& st = state(node);
-      ++st.ghost_inits_received;
-      check_phase(node);
-    });
+    exec_.compute(node, costs_.init + unpack,
+                  [this, node, o, existing = std::move(existing)]() {
+                    install_accumulator(node, o, existing ? &*existing : nullptr);
+                    NodeState& st = state(node);
+                    ++st.ghost_inits_received;
+                    check_phase(node);
+                  });
   }
 
   // ------------------------------------------------------------------
@@ -373,23 +371,14 @@ class Engine {
     }
     ns.compute_lr_s += lr;
     ns.compute_comm_s += pack;
-    auto held = std::make_shared<std::optional<Chunk>>(std::move(chunk));
     exec_.compute(node, lr + pack,
                   [this, node, i, msg_bytes, targets = std::move(local_targets),
-                   dests = std::move(remote_dests), held]() {
+                   dests = std::move(remote_dests), held = std::move(chunk)]() {
                     NodeStats& ns = nstats(node);
-                    // Only a forwarded chunk needs a shared buffer; with no
-                    // local target left to reduce, the payload moves into it.
-                    std::shared_ptr<const std::vector<std::byte>> payload;
-                    if (!dests.empty() && held->has_value() && (*held)->has_payload()) {
-                      std::vector<std::byte>& bytes = (*held)->payload();
-                      if (targets.empty()) {
-                        payload = std::make_shared<const std::vector<std::byte>>(
-                            std::move(bytes));
-                      } else {
-                        payload = std::make_shared<const std::vector<std::byte>>(bytes);
-                      }
-                    }
+                    // Forwarding shares the chunk's buffer with every owner.
+                    const Chunk::Payload payload = held && held->has_payload()
+                                                       ? held->shared_payload()
+                                                       : nullptr;
                     for (int dst : dests) {
                       Message msg;
                       msg.src = node;
@@ -404,8 +393,7 @@ class Engine {
                       ns.bytes_sent += msg.bytes;
                       exec_.send(std::move(msg));
                     }
-                    aggregate_into(node, i, targets,
-                                   held->has_value() ? &held->value() : nullptr);
+                    aggregate_into(node, i, targets, held ? &*held : nullptr);
                     op_done(node);
                   });
   }
@@ -443,16 +431,16 @@ class Engine {
     const double cost = costs_.lr_pair * static_cast<double>(targets.size()) + unpack;
     nstats(node).compute_lr_s += cost - unpack;
     nstats(node).compute_comm_s += unpack;
-    std::shared_ptr<Chunk> chunk;
-    if (msg.payload != nullptr) {
-      chunk = std::make_shared<Chunk>(input_meta(i), *msg.payload);
-    }
-    exec_.compute(node, cost, [this, node, i, targets = std::move(targets), chunk]() {
-      aggregate_into(node, i, targets, chunk ? chunk.get() : nullptr);
-      NodeState& st = state(node);
-      ++st.inputs_received;
-      check_phase(node);
-    });
+    std::optional<Chunk> chunk;
+    if (msg.payload != nullptr) chunk.emplace(input_meta(i), msg.payload);
+    exec_.compute(node, cost,
+                  [this, node, i, targets = std::move(targets),
+                   chunk = std::move(chunk)]() {
+                    aggregate_into(node, i, targets, chunk ? &*chunk : nullptr);
+                    NodeState& st = state(node);
+                    ++st.inputs_received;
+                    check_phase(node);
+                  });
   }
 
   // ------------------------------------------------------------------

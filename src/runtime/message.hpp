@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "storage/chunk.hpp"
 
@@ -36,9 +34,9 @@ struct Message {
   /// Tile the message belongs to (pipelined execution lets a sender run
   /// one tile ahead of a receiver; the receiver defers such messages).
   std::uint32_t tile = 0;
-  /// Real data, when running with payloads.  Shared so fan-out sends of
-  /// the same chunk do not copy it per destination.
-  std::shared_ptr<const std::vector<std::byte>> payload;
+  /// Real data, when running with payloads: the chunk's own immutable
+  /// buffer, so forwarding a chunk or fanning it out copies no bytes.
+  Chunk::Payload payload;
 };
 
 /// Fixed per-message header overhead added to payload size on the wire.

@@ -10,6 +10,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,34 +51,46 @@ struct ChunkMeta {
 };
 
 /// A chunk with (optional) payload.
+///
+/// The payload is immutable and shared: copying a Chunk copies its
+/// metadata and bumps a reference count, never the bytes.  The chunk
+/// cache, the stores and the engine's messages all hold the same
+/// buffer, so code that builds bytes builds a vector and moves it in.
 class Chunk {
  public:
+  using Payload = std::shared_ptr<const std::vector<std::byte>>;
+
   Chunk() = default;
   explicit Chunk(ChunkMeta meta) : meta_(std::move(meta)) {}
-  Chunk(ChunkMeta meta, std::vector<std::byte> payload)
+  Chunk(ChunkMeta meta, std::vector<std::byte> payload) : meta_(std::move(meta)) {
+    if (!payload.empty()) {
+      payload_ = std::make_shared<const std::vector<std::byte>>(std::move(payload));
+    }
+  }
+  Chunk(ChunkMeta meta, Payload payload)
       : meta_(std::move(meta)), payload_(std::move(payload)) {}
 
   const ChunkMeta& meta() const { return meta_; }
   ChunkMeta& meta() { return meta_; }
 
-  bool has_payload() const { return !payload_.empty(); }
-  const std::vector<std::byte>& payload() const { return payload_; }
-  std::vector<std::byte>& payload() { return payload_; }
+  bool has_payload() const { return payload_ != nullptr && !payload_->empty(); }
+  const std::vector<std::byte>& payload() const {
+    static const std::vector<std::byte> kEmpty;
+    return payload_ != nullptr ? *payload_ : kEmpty;
+  }
+  /// The shared buffer itself (null for a metadata-only chunk).
+  const Payload& shared_payload() const { return payload_; }
 
   /// Reinterprets the payload as an array of T (size must divide evenly).
   template <typename T>
   std::span<const T> as() const {
-    return {reinterpret_cast<const T*>(payload_.data()), payload_.size() / sizeof(T)};
-  }
-
-  template <typename T>
-  std::span<T> as() {
-    return {reinterpret_cast<T*>(payload_.data()), payload_.size() / sizeof(T)};
+    const std::vector<std::byte>& bytes = payload();
+    return {reinterpret_cast<const T*>(bytes.data()), bytes.size() / sizeof(T)};
   }
 
  private:
   ChunkMeta meta_;
-  std::vector<std::byte> payload_;
+  Payload payload_;
 };
 
 /// Builds a payload from a vector of doubles (the emulators' item type).

@@ -13,19 +13,31 @@
 // from changes — exactly the layering bench/ablation_caching.cpp modelled
 // in the simulator.
 //
-// Thread safety: fully thread-safe.  Lock order: shard mutex -> backing
-// store's disk mutex (a shard lock is held across the backing get on a
-// miss; the backing store never calls back into the cache).  In
-// FileChunkStore that per-disk mutex guards only the offset table, and
-// payload I/O runs unlocked with pread/pwrite.
+// Layout: each per-disk shard keeps its entries in a flat slot array
+// recycled through a free list.  An open-addressing index (linear
+// probing, backward-shift deletion) maps ChunkId to a slot, and the LRU
+// order is a doubly linked list of slot numbers held in a dense array
+// beside the slots, so no entry allocates a node and eviction order is
+// exact LRU.  Payloads are immutable and shared (Chunk): a hit hands out
+// a reference to the cached buffer, and an install keeps a reference to
+// the fetched one — neither copies bytes.
+//
+// Thread safety: fully thread-safe.  No shard lock is held across a
+// backing get: a miss records the shard's generation, fetches unlocked,
+// and installs only if no put or erase bumped the generation meanwhile,
+// so a fetch that raced a write never caches stale bytes.  put() and
+// erase() hold the shard lock across the backing write, so the cache and
+// the backing store see writes to one disk in the same order.  Lock
+// order: shard mutex -> backing store's disk mutex (the backing store
+// never calls back into the cache).  Evicted and replaced buffers are
+// released after the shard lock drops.  In FileChunkStore the per-disk
+// mutex guards only the offset table; payload I/O runs unlocked with
+// pread/pwrite.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/disk_store.hpp"
@@ -73,38 +85,18 @@ class CachingChunkStore : public ChunkStore {
   void clear();
 
  private:
-  /// Memory charged to a cached chunk beyond its payload (map/list node
-  /// and metadata overhead) so metadata-only chunks still have a cost.
+  /// Memory charged to a cached chunk beyond its payload (slot, index
+  /// cell and metadata) so metadata-only chunks still have a cost.
   static constexpr std::uint64_t kEntryOverheadBytes = 64;
 
-  struct Entry {
-    Chunk chunk;
-    std::list<ChunkId>::iterator lru_pos;
-    std::uint64_t charged_bytes = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<ChunkId> lru;  // front = most recently used
-    std::unordered_map<ChunkId, Entry, ChunkIdHash> entries;
-    std::uint64_t bytes = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t hit_bytes = 0;
-    std::uint64_t miss_bytes = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t invalidations = 0;
-  };
+  /// One disk's entries, index and counters (chunk_cache.cpp).
+  struct Shard;
 
   static std::uint64_t charge(const Chunk& chunk) {
     return chunk.payload().size() + kEntryOverheadBytes;
   }
 
   Shard& shard_of(int disk) const { return *shards_[static_cast<std::size_t>(disk)]; }
-  /// Inserts or refreshes `chunk` in `shard`, evicting LRU entries until
-  /// it fits.  Caller holds the shard mutex.
-  void install_locked(Shard& shard, const Chunk& chunk) const;
-  void remove_locked(Shard& shard, ChunkId id) const;
 
   ChunkStore* backing_;
   std::uint64_t bytes_per_disk_;

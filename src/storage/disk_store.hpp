@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -82,8 +81,10 @@ class MemoryChunkStore : public ChunkStore {
 /// payload I/O runs unlocked with pread/pwrite, so node threads read
 /// their disks in parallel.  Payloads are never rewritten in place (an
 /// overwrite appends), so a reader holding a copied entry reads stable
-/// bytes.  A put's manifest record is written with one write(2) before
-/// put returns: a second handle opened later sees every completed put.
+/// bytes.  The offset table is a hash map: nothing reads it in id order,
+/// and the manifest, not the table, fixes the on-disk record order.  A
+/// put's manifest record is written with one write(2) before put
+/// returns: a second handle opened later sees every completed put.
 class FileChunkStore : public ChunkStore {
  public:
   FileChunkStore(std::filesystem::path dir, int num_disks,
@@ -119,7 +120,7 @@ class FileChunkStore : public ChunkStore {
     std::filesystem::path path;
     File file;
     mutable std::mutex mutex;  // guards the fields below, never payload I/O
-    std::map<ChunkId, Entry> entries;
+    std::unordered_map<ChunkId, Entry, ChunkIdHash> entries;
     std::uint64_t file_size = 0;
     std::uint64_t live_bytes = 0;
   };

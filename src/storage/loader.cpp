@@ -28,11 +28,7 @@ Dataset load_dataset(std::uint32_t id, const std::string& name, const Rect& doma
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     chunks[i].meta().disk = placement[i];
     metas[i].disk = placement[i];
-    if (options.store_payloads) {
-      store.put(std::move(chunks[i]));
-    } else {
-      store.put(Chunk(metas[i]));
-    }
+    store.put(std::move(chunks[i]));
   }
 
   // (4) index: the Dataset bulk-loads its R-tree.

@@ -23,9 +23,6 @@ namespace adr {
 
 struct LoadOptions {
   DeclusterOptions decluster;
-  /// When false, only metadata is registered (simulation runs); payloads
-  /// are dropped and reads return metadata-only chunks.
-  bool store_payloads = true;
 };
 
 /// Loads pre-partitioned chunks as dataset `id`/`name` into `store` and

@@ -7,8 +7,11 @@
 // targets (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <list>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -115,6 +118,61 @@ TEST(ChunkCache, LruEvictsLeastRecentlyUsedFirst) {
   EXPECT_EQ(cache.stats().misses, before.misses + 1);
 }
 
+TEST(ChunkCache, MatchesReferenceLruUnderChurn) {
+  // Random gets, erases and refreshing puts over ten times the budget:
+  // every hit and miss, and the final residency, must match a reference
+  // list-based LRU through index growth, probe-run deletions and slot
+  // reuse.
+  constexpr std::uint32_t kIds = 400;
+  constexpr std::size_t kCapacity = 40;
+  MemoryChunkStore backing(1);
+  auto id_of = [](std::uint32_t k) { return ChunkId{1 + k % 3, k / 3}; };
+  for (std::uint32_t k = 0; k < kIds; ++k) {
+    backing.put(make_chunk(id_of(k).dataset, id_of(k).index, 0, 100));
+  }
+  CachingChunkStore cache(backing, kCapacity * (100 + 64));
+
+  std::list<ChunkId> model;  // front = most recently used
+  auto model_find = [&](ChunkId id) { return std::find(model.begin(), model.end(), id); };
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<std::uint32_t> pick(0, kIds - 1);
+  int mismatches = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const ChunkId id = id_of(pick(rng));
+    const auto it = model_find(id);
+    switch (rng() % 16) {
+      case 0:  // erase, then restore the backing copy
+        cache.erase(0, id);
+        if (it != model.end()) model.erase(it);
+        backing.put(make_chunk(id.dataset, id.index, 0, 100));
+        break;
+      case 1:  // put refreshes a cached id (as most recently used) only
+        cache.put(make_chunk(id.dataset, id.index, 0, 100));
+        if (it != model.end()) model.splice(model.begin(), model, it);
+        break;
+      default: {
+        const std::uint64_t hits = cache.stats().hits;
+        ASSERT_TRUE(cache.get(0, id).has_value());
+        const bool hit = cache.stats().hits == hits + 1;
+        if (hit != (it != model.end())) ++mismatches;
+        if (it != model.end()) {
+          model.splice(model.begin(), model, it);
+        } else {
+          model.push_front(id);
+          if (model.size() > kCapacity) model.pop_back();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(cache.stats().resident_chunks, model.size());
+  for (const ChunkId& id : model) {
+    const std::uint64_t hits = cache.stats().hits;
+    ASSERT_TRUE(cache.get(0, id).has_value());
+    EXPECT_EQ(cache.stats().hits, hits + 1) << id.to_string();
+  }
+}
+
 TEST(ChunkCache, OversizedChunkBypassesCache) {
   MemoryChunkStore backing(1);
   backing.put(make_chunk(1, 0, 0, 4096));
@@ -193,6 +251,84 @@ TEST(ChunkCache, ConcurrentGetsAccountEveryAccess) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kThreads * kGetsEach));
   EXPECT_LE(stats.resident_bytes, 2u * 4 * (256 + 64));  // budget held
+}
+
+TEST(ChunkCache, HitSharesPayloadBuffer) {
+  // Payloads are immutable and shared: an install keeps the fetched
+  // buffer and a hit hands out another reference to it.
+  MemoryChunkStore backing(1);
+  backing.put(make_chunk(1, 0, 0, 2048, std::byte{0x01}));
+  CachingChunkStore cache(backing, 1 << 20);
+
+  const auto cold = cache.get(0, {1, 0});
+  const auto hit1 = cache.get(0, {1, 0});
+  const auto hit2 = cache.get(0, {1, 0});
+  ASSERT_TRUE(cold.has_value() && hit1.has_value() && hit2.has_value());
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(hit1->payload().data(), hit2->payload().data());
+  EXPECT_EQ(hit1->payload().data(), cold->payload().data());
+
+  // A put replaces the cached buffer; the bytes a reader holds stay put.
+  cache.put(make_chunk(1, 0, 0, 2048, std::byte{0x02}));
+  EXPECT_EQ(hit1->payload(), std::vector<std::byte>(2048, std::byte{0x01}));
+  const auto fresh = cache.get(0, {1, 0});
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->payload()[0], std::byte{0x02});
+  EXPECT_NE(fresh->payload().data(), hit1->payload().data());
+}
+
+TEST(ChunkCache, FetchRacingPutNeverInstallsStaleBytes) {
+  // ThreadSanitizer target.  A miss fetches outside the shard lock, so a
+  // put can land between its fetch and its install; the install must
+  // then be dropped.  The budget holds one chunk and readers alternate
+  // two ids, so nearly every get misses.  Each payload carries its
+  // version; a get that starts after version v was published must see v
+  // or newer.
+  auto versioned = [](std::uint32_t index, std::uint64_t version) {
+    ChunkMeta meta;
+    meta.id = {1, index};
+    meta.disk = 0;
+    meta.bytes = 256;
+    std::vector<std::byte> payload(256);
+    std::memcpy(payload.data(), &version, sizeof(version));
+    return Chunk(meta, std::move(payload));
+  };
+  auto version_of = [](const Chunk& chunk) {
+    std::uint64_t version = 0;
+    std::memcpy(&version, chunk.payload().data(), sizeof(version));
+    return version;
+  };
+  MemoryChunkStore backing(1);
+  backing.put(versioned(0, 0));
+  backing.put(versioned(1, 0));
+  CachingChunkStore cache(backing, /*bytes_per_disk=*/256 + 64);
+
+  constexpr std::uint64_t kVersions = 2000;
+  std::atomic<std::uint64_t> published{0};
+  std::atomic<int> stale{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t]() {
+      for (std::uint32_t g = 0; published.load() < kVersions; ++g) {
+        const std::uint32_t index = (g + static_cast<std::uint32_t>(t)) % 2;
+        const std::uint64_t floor = published.load();
+        const auto chunk = cache.get(0, {1, index});
+        if (!chunk.has_value() || version_of(*chunk) < floor) ++stale;
+      }
+    });
+  }
+  for (std::uint64_t v = 1; v <= kVersions; ++v) {
+    cache.put(versioned(0, v));
+    cache.put(versioned(1, v));
+    published.store(v);
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(stale.load(), 0);
+  for (std::uint32_t index = 0; index < 2; ++index) {
+    const auto chunk = cache.get(0, {1, index});
+    ASSERT_TRUE(chunk.has_value());
+    EXPECT_EQ(version_of(*chunk), kVersions);
+  }
 }
 
 // ------------------------------------------------- ThreadExecutorPool
@@ -348,7 +484,8 @@ TEST(ChunkCache, DatasetEraseInvalidatesCachedChunks) {
   // store; the cached copies must be refreshed, not served stale.
   auto replacement = grid_chunks(4, 2);
   for (auto& chunk : replacement) {
-    for (auto& b : chunk.payload()) b = static_cast<std::byte>(0xEE);
+    chunk = Chunk(chunk.meta(), std::vector<std::byte>(chunk.payload().size(),
+                                                       static_cast<std::byte>(0xEE)));
   }
   std::uint32_t index = 0;
   for (auto& chunk : replacement) {

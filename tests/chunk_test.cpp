@@ -49,11 +49,16 @@ TEST(Chunk, PayloadRoundTripAsUint64) {
   EXPECT_EQ(view[3], 500u);
 }
 
-TEST(Chunk, MutableViewWritesThrough) {
-  std::vector<std::byte> payload(2 * sizeof(std::uint64_t), std::byte{0});
-  Chunk chunk(ChunkMeta{}, std::move(payload));
-  chunk.as<std::uint64_t>()[1] = 99;
-  EXPECT_EQ(chunk.as<std::uint64_t>()[1], 99u);
+TEST(Chunk, CopySharesPayloadBuffer) {
+  // Payloads are immutable: bytes are written before the chunk owns them.
+  std::vector<std::uint64_t> values = {0, 99};
+  std::vector<std::byte> payload(values.size() * sizeof(std::uint64_t));
+  std::memcpy(payload.data(), values.data(), payload.size());
+  const Chunk chunk(ChunkMeta{}, std::move(payload));
+  const Chunk copy = chunk;
+  EXPECT_EQ(copy.as<std::uint64_t>()[1], 99u);
+  EXPECT_EQ(copy.payload().data(), chunk.payload().data());  // no byte copy
+  EXPECT_EQ(copy.shared_payload(), chunk.shared_payload());
 }
 
 TEST(PayloadFromDoubles, PreservesValues) {

@@ -380,8 +380,7 @@ TEST(Repository, HistogramAggregationEndToEnd) {
   std::vector<Chunk> outs;
   for (Chunk& c : grid_outputs(2)) {
     c.meta().bytes = 128;
-    c.payload().assign(128, std::byte{0});
-    outs.push_back(std::move(c));
+    outs.emplace_back(c.meta(), std::vector<std::byte>(128, std::byte{0}));
   }
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), std::move(outs));
   Query q;

@@ -50,21 +50,6 @@ TEST(Loader, BalancedPlacement) {
   for (int d = 0; d < 4; ++d) EXPECT_EQ(store.chunk_count(d), 4u);
 }
 
-TEST(Loader, MetadataOnlyDropsPayloads) {
-  MemoryChunkStore store(2);
-  LoadOptions options;
-  options.decluster.num_disks = 2;
-  options.store_payloads = false;
-  const Rect domain(Point{0.0, 0.0}, Point{8.0, 1.0});
-  Dataset ds = load_dataset(0, "meta", domain, payload_chunks(8), store, options);
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    auto chunk = store.get(ds.chunk(i).disk, ds.chunk(i).id);
-    ASSERT_TRUE(chunk.has_value());
-    EXPECT_FALSE(chunk->has_payload());
-    EXPECT_EQ(chunk->meta().bytes, 64u);  // nominal size preserved
-  }
-}
-
 TEST(Loader, IndexFindsLoadedChunks) {
   MemoryChunkStore store(2);
   LoadOptions options;

@@ -330,9 +330,9 @@ TEST(MarginalServing, StoreWriteInvalidatesPartials) {
     std::vector<std::uint64_t> vals(existing->payload().size() /
                                     sizeof(std::uint64_t));
     for (auto& v : vals) v = 99999;
-    std::memcpy(existing->payload().data(), vals.data(),
-                existing->payload().size());
-    f.repo.store().put(*existing);
+    std::vector<std::byte> bytes(existing->payload().size());
+    std::memcpy(bytes.data(), vals.data(), bytes.size());
+    f.repo.store().put(Chunk(existing->meta(), std::move(bytes)));
   }
 
   const QueryResult after = f.repo.submit(q);

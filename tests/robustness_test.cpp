@@ -414,7 +414,7 @@ TEST(EmulatorPayloads, SatScenarioAggregatesIdenticallyAcrossStrategies) {
     // Give the outputs a real 24-byte payload for the sum/count/max op.
     for (Chunk& c : app.output_chunks) {
       c.meta().bytes = 24;
-      c.payload().assign(24, std::byte{0});
+      c = Chunk(c.meta(), std::vector<std::byte>(24, std::byte{0}));
     }
     Dataset input = load_dataset(0, "in", app.input_domain,
                                  std::move(app.input_chunks), store, options);
